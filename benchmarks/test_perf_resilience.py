@@ -7,7 +7,7 @@ measurements land in ``BENCH_resilience.json`` (repo root +
 ``results/``):
 
 * **fabric**: the seeded synthetic mesh of ``test_perf_shards.py``
-  streamed through the :class:`~repro.stream.SupervisedStreamEngine`
+  streamed through a supervised :class:`~repro.stream.StreamEngine`
   twice — undisturbed, then under a seeded chaos plan — recording the
   throughput dip, ticks-to-recover, episodes delayed vs the undisturbed
   run, and the exact-accounting identity
@@ -38,7 +38,7 @@ from repro.perf import peak_rss_mb, write_bench_artifact
 from repro.stream import (
     ReachabilityEvent,
     ReplayConfig,
-    SupervisedStreamEngine,
+    StreamEngine,
     SupervisionConfig,
     TenantConfig,
     make_replay_setup,
@@ -91,12 +91,12 @@ def _dst_failing(dst: str, tick: int) -> bool:
     return (prefix_index + wave) % (N_DESTS // WAVE_WIDTH) == 0
 
 
-def _make_engine(plan) -> SupervisedStreamEngine:
+def _make_engine(plan) -> StreamEngine:
     tenants = tuple(
         TenantConfig(f"tenant-{i}", rate=max(1, (N_SOURCES * N_DESTS) // 8))
         for i in range(4)
     )
-    return SupervisedStreamEngine(
+    return StreamEngine(
         asn_of=_no_asn,
         diagnosers={},
         shards=N_SHARDS,
@@ -112,7 +112,7 @@ def _make_engine(plan) -> SupervisedStreamEngine:
     )
 
 
-def _drive(engine: SupervisedStreamEngine, n_events: int):
+def _drive(engine: StreamEngine, n_events: int):
     pairs = _pairs()
     ticks = max(1, n_events // len(pairs))
     seq = 0
@@ -138,7 +138,7 @@ def _drive(engine: SupervisedStreamEngine, n_events: int):
     return seq, ticks, wall
 
 
-def _assert_exact_accounting(engine: SupervisedStreamEngine) -> dict:
+def _assert_exact_accounting(engine: StreamEngine) -> dict:
     """The acceptance identity: every offered event lands in exactly one
     bucket.  Chaos may delay or park events — never lose one silently."""
     counters = engine.counters()

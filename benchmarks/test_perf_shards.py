@@ -1,8 +1,8 @@
 """Sharded-engine scale benchmark: events/sec, latency, shed at overload.
 
 The tentpole question of the sharding work: what does the
-:class:`~repro.stream.router.ShardedStreamEngine` sustain, and how does
-it behave when tenants exceed their admission contracts?  This bench
+:class:`~repro.stream.engine.StreamEngine` sustain at ``shards=N``, and
+how does it behave when tenants exceed their admission contracts?  This bench
 replays a **seeded synthetic load** — millions of per-pair reachability
 events with deterministic failure waves sweeping across destination
 prefixes (and therefore across shards) — and records into
@@ -37,7 +37,7 @@ from repro.experiments.stats import percentile, ratio
 from repro.perf import peak_rss_mb, write_bench_artifact
 from repro.stream import (
     ReachabilityEvent,
-    ShardedStreamEngine,
+    StreamEngine,
     TenantConfig,
     source_tenant_of,
 )
@@ -86,8 +86,8 @@ def _dst_failing(dst: str, tick: int) -> bool:
     return (prefix_index + wave) % (N_DESTS // WAVE_WIDTH) == 0
 
 
-def _make_engine(shards: int, tenants=(), tenant_of=None) -> ShardedStreamEngine:
-    return ShardedStreamEngine(
+def _make_engine(shards: int, tenants=(), tenant_of=None) -> StreamEngine:
+    return StreamEngine(
         asn_of=_no_asn,
         diagnosers={},
         shards=shards,
@@ -101,7 +101,7 @@ def _make_engine(shards: int, tenants=(), tenant_of=None) -> ShardedStreamEngine
     )
 
 
-def _drive(engine: ShardedStreamEngine, n_events: int):
+def _drive(engine: StreamEngine, n_events: int):
     """Stream ``n_events`` synthetic reachability events, tick by tick."""
     pairs = _pairs()
     per_tick = len(pairs)
@@ -134,8 +134,7 @@ def _measure_throughput(shards: int, n_events: int):
     events, ticks, wall = _drive(engine, n_events)
     counters = engine.counters()
     latencies = engine.latencies
-    stats = engine.shard_stats()
-    offered = [s["events_offered"] for s in stats]
+    offered = [shard.events_offered for shard in engine.shards]
     return engine, {
         "shards": shards,
         "events": events,
@@ -146,7 +145,7 @@ def _measure_throughput(shards: int, n_events: int):
         "episodes": counters["episodes_total"]
         if "episodes_total" in counters
         else engine.detector_counters()["episodes_total"],
-        "cross_shard_episodes": counters["cross_shard_episodes"],
+        "cross_shard_episodes": engine.merger.cross_shard_episodes,
         "latency_ticks_p50": percentile(latencies, 0.50),
         "latency_ticks_p99": percentile(latencies, 0.99),
         "shard_events_min": min(offered),

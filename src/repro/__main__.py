@@ -336,7 +336,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 journal=journal,
                 cached_reports=cached,
                 save_log=args.save_log,
-                supervise=bool(args.dlq),
                 dlq_path=args.dlq,
             )
         except KeyboardInterrupt:

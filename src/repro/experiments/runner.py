@@ -791,7 +791,7 @@ class RunnerStats:
         """Fold a supervised stream run's breaker/DLQ accounting in.
 
         Accepts the dict shape produced by
-        :meth:`repro.stream.SupervisedStreamEngine.supervision_stats`, so
+        :meth:`repro.stream.StreamEngine.supervision_stats`, so
         harnesses that drive both batch placements and supervised stream
         replays report one consolidated resilience block.
         """

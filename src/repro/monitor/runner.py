@@ -6,8 +6,9 @@ of the run is cheap per-pair reachability checks derived from the
 seeded outage schedule — a pair is up at a tick unless a link on its
 baseline path is scheduled down, its destination AS is blocking
 probes, or measurement noise lies about it.  Those observations stream
-through the ordinary engine (serial, sharded or supervised, chosen by
-:func:`~repro.stream.replay.build_engine`), which runs its episode
+through the ordinary engine (built by
+:func:`~repro.stream.replay.build_engine` at any shard count, supervised
+under chaos), which runs its episode
 detection exactly as in an incident replay; the
 :class:`~repro.monitor.recorder.FlightRecorder` consumes the same
 observations driver-side, *before* any shard routing, so its intervals
@@ -60,8 +61,6 @@ from repro.stream.replay import (
     make_replay_setup,
     run_replay,
 )
-from repro.stream.router import ShardedStreamEngine, TenantConfig
-from repro.stream.supervise import SupervisedStreamEngine, SupervisionConfig
 
 __all__ = [
     "MonitorRunResult",
@@ -252,26 +251,17 @@ def run_monitor(
     *,
     policy: str = "quarantine",
     window_width: int = 4,
-    window_capacity: int = 0,
-    max_pending: int = 8,
-    overflow_limit: int = 32,
     workers: int = 0,
     shards: int = 1,
-    tenants: Optional[Tuple[TenantConfig, ...]] = None,
-    tenant_of=None,
     chaos_rate: float = 0.0,
-    supervise: bool = False,
-    supervision: Optional[SupervisionConfig] = None,
-    checkpoint_path: Optional[str] = None,
-    dlq_path: Optional[str] = None,
     journal: Optional[RunJournal] = None,
     cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
     retention: int = 256,
 ) -> MonitorRunResult:
     """Run one scenario end to end: schedule → stream → record → score.
 
-    The engine knobs mirror ``run_stream_replay`` (sharding, tenancy,
-    chaos, supervision, journalled resume all work identically); the
+    The engine knobs mirror ``run_stream_replay`` (sharding, chaos and
+    journalled resume work identically); the
     hysteresis thresholds come from the scenario config so the engine's
     episode detector and the flight recorder confirm and clear on the
     same streaks.
@@ -307,27 +297,15 @@ def run_monitor(
         diagnosers=setup.diagnosers,
         asx=setup.asx,
         window_width=window_width,
-        window_capacity=window_capacity,
         open_after=config.open_after,
         close_after=config.close_after,
         policy=policy,
-        max_pending=max_pending,
-        overflow_limit=overflow_limit,
         workers=workers,
         degradation=DegradationReport(),
         cached_reports=cached_reports,
     )
     engine = build_engine(
-        common,
-        seed=seed,
-        shards=shards,
-        tenants=tenants,
-        tenant_of=tenant_of,
-        chaos_rate=chaos_rate,
-        supervise=supervise,
-        supervision=supervision,
-        checkpoint_path=checkpoint_path,
-        dlq_path=dlq_path,
+        common, seed=seed, shards=shards, chaos_rate=chaos_rate
     )
     started = time.perf_counter()
     reports = run_replay(log, engine, journal=journal)
@@ -372,15 +350,7 @@ def run_monitor(
         window_counters=engine.window_counters(),
         detector_counters=engine.detector_counters(),
         stage_seconds=engine.stage_seconds(),
-        shard_stats=(
-            engine.shard_stats()
-            if isinstance(engine, ShardedStreamEngine)
-            else None
-        ),
-        supervision=(
-            engine.supervision_stats()
-            if isinstance(engine, SupervisedStreamEngine)
-            else None
-        ),
+        shard_stats=engine.shard_stats(),
+        supervision=engine.supervision_stats(),
         observations_skipped=thinned,
     )

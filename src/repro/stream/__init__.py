@@ -10,28 +10,29 @@ This package is that online layer over the existing batch machinery:
   :mod:`repro.validate` policies (strict/repair/quarantine);
 * :mod:`repro.stream.window` — sliding-window reconciliation into the
   batch :class:`~repro.core.pathset.MeasurementSnapshot` shape, bounded
-  by :class:`~repro.netsim.cache.LruCache`;
+  by :class:`~repro.netsim.cache.LruCache`, plus the control-plane feed;
 * :mod:`repro.stream.episodes` — debounced, hysteretic failure-episode
   detection (no diagnosis storms on transient loss);
-* :mod:`repro.stream.engine` — the orchestrator: bounded work queue,
-  explicit backpressure, per-episode diagnosis with every configured
-  :class:`~repro.core.diagnoser.NetDiagnoser` variant, bit-identical
-  serial/parallel output;
+* :mod:`repro.stream.engine` — :class:`StreamEngine`, the one engine:
+  router → shards → merger → bounded diagnosis queue, with explicit
+  backpressure and per-episode diagnosis by every configured diagnoser.
+  Shard count, tenancy and supervision are constructor values, and any
+  shard count or worker count replays bit-identically to one shard;
 * :mod:`repro.stream.replay` — deterministic replay of recorded rounds
   and fault plans (same log + seed ⇒ identical episode reports);
-* :mod:`repro.stream.router` — consistent-hash sharding, per-tenant
-  admission control, and the :class:`ShardedStreamEngine` scale-out
-  engine (bit-identical to serial replay with admission disabled);
-* :mod:`repro.stream.merge` — cross-shard snapshot/control/episode
-  merging in global ``(tick, seq)`` order;
+* :mod:`repro.stream.router` — consistent-hash sharding, the per-shard
+  ingest state, and per-tenant admission control;
+* :mod:`repro.stream.merge` — one global episode lifecycle over the
+  shards' alarms;
 * :mod:`repro.stream.serve` — the asyncio ingest front end with bounded
   per-tenant queues, round-robin fair pumping, and graceful shutdown;
 * :mod:`repro.stream.checkpoint` — per-shard checkpoints in the fsync'd
   torn-tail-tolerant journal format, for crash recovery;
-* :mod:`repro.stream.supervise` — the self-healing layer: shard
-  supervision with checkpointed restart and replay, per-variant circuit
-  breakers, a dead-letter queue, and deterministic chaos injection via
-  the :mod:`repro.faults` chaos modes.
+* :mod:`repro.stream.supervise` — the self-healing pieces the engine
+  builds when supervised: shard supervision with checkpointed restart
+  and replay, per-variant circuit breakers, a dead-letter queue, and
+  deterministic chaos injection via the :mod:`repro.faults` chaos
+  modes.
 
 CLI: ``python -m repro stream`` replays a configured stream (optionally
 sharded via ``--shards`` / multi-tenant via ``--tenants`` / under
@@ -51,7 +52,6 @@ from repro.stream.episodes import (
     OPEN,
     UPDATE,
     Episode,
-    EpisodeDetector,
     EpisodeLifecycle,
     EpisodeTransition,
     PairAlarmTracker,
@@ -74,14 +74,9 @@ from repro.stream.events import (
 )
 from repro.stream.checkpoint import CheckpointStore, ShardCheckpoint
 from repro.stream.ingest import StreamIngestor
-from repro.stream.merge import (
-    CrossShardMerger,
-    merged_control_view,
-    merged_snapshot,
-)
+from repro.stream.merge import CrossShardMerger
 from repro.stream.router import (
     AdmissionController,
-    ShardedStreamEngine,
     ShardRouter,
     StreamShard,
     TenantConfig,
@@ -94,7 +89,6 @@ from repro.stream.supervise import (
     CircuitBreaker,
     DeadLetterQueue,
     ShardSupervisor,
-    SupervisedStreamEngine,
     SupervisionConfig,
     load_dead_letters,
 )
@@ -109,7 +103,7 @@ from repro.stream.replay import (
     run_replay,
     run_stream_replay,
 )
-from repro.stream.window import SlidingWindow
+from repro.stream.window import ControlFeed, SlidingWindow, assemble_snapshot
 
 __all__ = [
     "EVENT_LOG_FORMAT",
@@ -128,6 +122,8 @@ __all__ = [
     "stream_event_from_dict",
     "StreamIngestor",
     "SlidingWindow",
+    "ControlFeed",
+    "assemble_snapshot",
     "OPEN",
     "UPDATE",
     "CLOSE",
@@ -135,17 +131,13 @@ __all__ = [
     "EpisodeTransition",
     "PairAlarmTracker",
     "EpisodeLifecycle",
-    "EpisodeDetector",
     "stable_hash",
     "ShardRouter",
     "TenantConfig",
     "AdmissionController",
     "source_tenant_of",
     "StreamShard",
-    "ShardedStreamEngine",
     "CrossShardMerger",
-    "merged_snapshot",
-    "merged_control_view",
     "StreamServer",
     "CheckpointStore",
     "ShardCheckpoint",
@@ -153,7 +145,6 @@ __all__ = [
     "CircuitBreaker",
     "DeadLetterQueue",
     "ShardSupervisor",
-    "SupervisedStreamEngine",
     "SupervisionConfig",
     "load_dead_letters",
     "StaticAsnMap",

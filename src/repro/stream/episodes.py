@@ -16,8 +16,8 @@ changes while open, and closes when the last alarmed pair clears.  The
 detector emits :class:`EpisodeTransition` records; the engine schedules
 diagnosis work off those, never off raw probe results.
 
-The detector is split into two halves so the sharded engine can
-partition one and keep the other global:
+Detection is split into two halves so the engine can partition one
+across its shards and keep the other global:
 
 * :class:`PairAlarmTracker` holds the per-pair debounce state.  Pairs
   partition cleanly across shards (each pair's counters depend only on
@@ -35,9 +35,6 @@ partition one and keep the other global:
   also accounts **flaps**: episodes that reopen within ``flap_window``
   ticks of the previous close, the churn signature hysteresis alone
   cannot surface.
-
-:class:`EpisodeDetector` composes the two and remains the single-shard
-surface.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ __all__ = [
     "EpisodeTransition",
     "PairAlarmTracker",
     "EpisodeLifecycle",
-    "EpisodeDetector",
 ]
 
 #: An episode reopening within this many ticks of the previous close
@@ -184,66 +180,3 @@ class EpisodeLifecycle:
             "transitions": self.transitions_emitted,
             "flaps": self.flaps,
         }
-
-
-class EpisodeDetector:
-    """Turns per-pair reachability observations into episode transitions.
-
-    The single-shard composition of :class:`PairAlarmTracker` and
-    :class:`EpisodeLifecycle`; the sharded engine wires the same two
-    classes together across shard boundaries instead.
-    """
-
-    def __init__(self, open_after: int = 2, close_after: int = 2) -> None:
-        self._tracker = PairAlarmTracker(open_after, close_after)
-        self._lifecycle = EpisodeLifecycle()
-
-    # ------------------------------------------------------- observations
-
-    @property
-    def open_after(self) -> int:
-        return self._tracker.open_after
-
-    @property
-    def close_after(self) -> int:
-        return self._tracker.close_after
-
-    @property
-    def observations(self) -> int:
-        return self._tracker.observations
-
-    def observe(self, pair: Pair, reached: bool) -> None:
-        self._tracker.observe(pair, reached)
-
-    def forget(self, pair_member: str) -> None:
-        self._tracker.forget(pair_member)
-
-    # -------------------------------------------------------- transitions
-
-    def alarmed_pairs(self) -> Tuple[Pair, ...]:
-        return self._tracker.alarmed_pairs()
-
-    @property
-    def episodes(self) -> List[Episode]:
-        return self._lifecycle.episodes
-
-    @property
-    def transitions_emitted(self) -> int:
-        return self._lifecycle.transitions_emitted
-
-    @property
-    def open_episode(self) -> Optional[Episode]:
-        return self._lifecycle.open_episode
-
-    def advance(self, tick: int) -> List[EpisodeTransition]:
-        """Evaluate episode lifecycle after a tick's observations landed."""
-        return self._lifecycle.advance(tick, self._tracker.alarmed_pairs())
-
-    def counters(self) -> Dict[str, int]:
-        """Detector accounting for the stream report."""
-        counts = {
-            "pairs_tracked": self._tracker.pairs_tracked(),
-            "pairs_alarmed": len(self.alarmed_pairs()),
-        }
-        counts.update(self._lifecycle.counters())
-        return counts

@@ -1,4 +1,4 @@
-"""Cross-shard merging: one global episode story over N shard windows.
+"""Cross-shard merging: one global episode story over N shards.
 
 Sharding partitions *pairs*, not *failures*.  A core-link failure alarms
 pairs whose destinations hash to different shards, and the
@@ -6,99 +6,32 @@ identifiability literature (Bartolini et al., arXiv:1903.10636; Ma et
 al., arXiv:1509.06333) is blunt about what happens if each shard then
 diagnoses alone: a shard that sees only a slice of the probe paths
 crossing the suspect links can neither localise the failure nor even
-know its verdict is under-determined.  So the sharded engine never
-diagnoses per shard.  Shards own the *ingest-side* state (window slots,
-pair alarm debounce — both cleanly per-pair); everything that needs the
-global picture is merged here:
-
-* :func:`merged_snapshot` unions the shards' usable pairs and rebuilds
-  the :class:`~repro.core.pathset.PathStore` pair in sorted-pair order —
-  byte for byte the order a single window's ``snapshot()`` uses, which
-  is half of the bit-identical replay guarantee;
-* :func:`merged_control_view` deduplicates the broadcast control-plane
-  entries by ``(tick, seq)`` and sorts by ``seq`` — the same global
-  arrival order a single window sorts by;
-* :class:`CrossShardMerger` feeds the union of the shards' alarmed
-  pairs into one global :class:`~repro.stream.episodes.EpisodeLifecycle`
-  per tick, so episode ids, open/update/close edges and blast radii are
-  exactly the single-shard ones.  It also counts how many episodes
-  actually spanned shards — the number that justifies all of this.
+know its verdict is under-determined.  So the engine never diagnoses
+per shard.  Shards own the *ingest-side* state (window slots, pair alarm
+debounce — both cleanly per-pair); the snapshot is assembled over every
+shard window (:func:`~repro.stream.window.assemble_snapshot`), and
+:class:`CrossShardMerger` feeds the union of the shards' alarmed pairs
+into one global :class:`~repro.stream.episodes.EpisodeLifecycle` per
+tick, so episode ids, open/update/close edges and blast radii are
+exactly the single-shard ones.  It also counts how many episodes
+actually spanned shards — the number that justifies all of this.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.control_plane import ControlPlaneView
-from repro.core.pathset import MeasurementSnapshot, PathStore
 from repro.stream.episodes import EpisodeLifecycle, EpisodeTransition
-from repro.stream.window import SlidingWindow
 
-__all__ = ["merged_snapshot", "merged_control_view", "CrossShardMerger"]
+__all__ = ["CrossShardMerger"]
 
 Pair = Tuple[str, str]
-
-
-def merged_snapshot(
-    windows: Sequence[SlidingWindow],
-    asn_of: Callable[[str], Optional[int]],
-) -> Optional[MeasurementSnapshot]:
-    """The batch-shaped snapshot over the union of shard windows.
-
-    The router sends each pair's probes to exactly one shard, so the
-    shards' usable-pair sets are disjoint and their union *is* the
-    single-window usable set.  Stores are filled in globally sorted pair
-    order, matching :meth:`SlidingWindow.snapshot` exactly.
-    """
-    owners: Dict[Pair, SlidingWindow] = {}
-    for window in windows:
-        for pair in window.usable_pairs():
-            owners.setdefault(pair, window)
-    if not owners:
-        return None
-    before, after = PathStore(), PathStore()
-    for pair in sorted(owners):
-        window = owners[pair]
-        baseline = window.baseline_for(pair)
-        current = window.current_for(pair)
-        before.add(baseline[1])
-        after.add(current[1])
-    return MeasurementSnapshot(before=before, after=after, asn_of=asn_of)
-
-
-def merged_control_view(
-    windows: Sequence[SlidingWindow], asx_asn: int
-) -> ControlPlaneView:
-    """The global control-plane view over the shard windows.
-
-    Control-plane events are broadcast to every shard (any shard's
-    verdict may hinge on them), so each window holds a copy; dedup by
-    ``(tick, seq)`` and sort by the globally monotonic ``seq`` — the
-    same order a single window's ``control_view`` produces.
-    """
-    withdrawals: Dict[Tuple[int, int], object] = {}
-    igp_downs: Dict[Tuple[int, int], object] = {}
-    for window in windows:
-        bgp_entries, igp_entries = window.feed_entries()
-        for tick, seq, obs in bgp_entries:
-            withdrawals.setdefault((tick, seq), obs)
-        for tick, seq, obs in igp_entries:
-            igp_downs.setdefault((tick, seq), obs)
-    return ControlPlaneView(
-        asx_asn=asx_asn,
-        igp_link_down=tuple(
-            igp_downs[key] for key in sorted(igp_downs, key=lambda k: k[1])
-        ),
-        withdrawals=tuple(
-            withdrawals[key] for key in sorted(withdrawals, key=lambda k: k[1])
-        ),
-    )
 
 
 class CrossShardMerger:
     """One global episode lifecycle fed by every shard's alarms.
 
-    Each tick the sharded engine hands over the per-shard alarmed-pair
+    Each tick the engine hands over the per-shard alarmed-pair
     tuples; the merger unions them (disjoint by construction — a pair
     alarms only on its owning shard) and advances the single lifecycle.
     Because :class:`PairAlarmTracker` partitions losslessly, the union

@@ -54,12 +54,8 @@ from repro.netsim.gen.internet import research_internet
 from repro.netsim.lookingglass import LookingGlassService
 from repro.stream.checkpoint import CheckpointStore
 from repro.stream.engine import EpisodeReport, StreamEngine
-from repro.stream.router import ShardedStreamEngine, TenantConfig
-from repro.stream.supervise import (
-    DeadLetterQueue,
-    SupervisedStreamEngine,
-    SupervisionConfig,
-)
+from repro.stream.router import TenantConfig
+from repro.stream.supervise import DeadLetterQueue
 from repro.stream.events import (
     IgpLinkDownEvent,
     LogicalClock,
@@ -93,55 +89,38 @@ def build_engine(
     tenants: Optional[Tuple[TenantConfig, ...]] = None,
     tenant_of=None,
     chaos_rate: float = 0.0,
-    supervise: bool = False,
-    supervision: Optional["SupervisionConfig"] = None,
-    checkpoint_path: Optional[str] = None,
     dlq_path: Optional[str] = None,
-):
-    """Pick and construct the right engine for a run's knobs.
+) -> StreamEngine:
+    """Construct the engine for a run's knobs.
 
     The single policy point shared by every driver (stream replays, the
-    monitor runner, benchmarks): ``chaos_rate > 0`` or ``supervise``
-    selects the :class:`~repro.stream.supervise.SupervisedStreamEngine`
-    (which needs >= 2 shards to have somewhere to fail over to), any
-    sharding or tenancy the :class:`~repro.stream.router.ShardedStreamEngine`,
-    and everything else the serial :class:`StreamEngine`.  ``common``
-    is the keyword bundle every engine constructor shares (diagnosers,
+    monitor runner, benchmarks).  ``chaos_rate > 0`` or a ``dlq_path``
+    supervises the run: this builds the seeded chaos plan, an in-memory
+    checkpoint store and the dead-letter queue, and raises the shard
+    count to >= 2 so a failed shard has a peer to fail over to.
+    ``common`` is the keyword bundle every run shares (diagnosers,
     window, debounce, backpressure, workers...).
     """
     if not 0.0 <= chaos_rate <= 1.0:
         raise StreamError(
             f"chaos_rate must be within [0, 1], got {chaos_rate}"
         )
-    if supervise or chaos_rate > 0.0:
-        plan = (
-            FaultPlan(f"{seed}/chaos", FaultConfig.chaos(chaos_rate))
-            if chaos_rate > 0.0
-            else None
-        )
-        fingerprint = {
-            "seed": seed,
-            "shards": max(shards, 2),
-            "chaos_rate": chaos_rate,
-        }
-        return SupervisedStreamEngine(
-            shards=max(shards, 2),
-            tenants=tenants or (),
-            tenant_of=tenant_of,
-            plan=plan,
-            supervision=supervision or SupervisionConfig(),
-            checkpoints=CheckpointStore(checkpoint_path, fingerprint),
-            dead_letters=DeadLetterQueue(dlq_path),
-            **common,
-        )
-    if shards > 1 or tenants:
-        return ShardedStreamEngine(
-            shards=max(shards, 1),
-            tenants=tenants or (),
-            tenant_of=tenant_of,
-            **common,
-        )
-    return StreamEngine(**common)
+    layout = dict(shards=shards, tenants=tenants or (), tenant_of=tenant_of)
+    if chaos_rate == 0.0 and dlq_path is None:
+        return StreamEngine(**layout, **common)
+    layout["shards"] = max(shards, 2)
+    plan = (
+        FaultPlan(f"{seed}/chaos", FaultConfig.chaos(chaos_rate))
+        if chaos_rate > 0.0
+        else None
+    )
+    return StreamEngine(
+        **layout,
+        plan=plan,
+        checkpoints=CheckpointStore(),
+        dead_letters=DeadLetterQueue(dlq_path),
+        **common,
+    )
 
 
 @dataclass(frozen=True)
@@ -221,7 +200,8 @@ class StreamRunResult:
     """Everything a stream replay produced, for reports and benchmarks.
 
     ``shard_stats`` is per-shard balance accounting (``None`` for a
-    serial single-shard run).
+    single-shard run without tenants); ``supervision`` is the supervision
+    block (``None`` for an unsupervised run).
     """
 
     reports: List[EpisodeReport]
@@ -439,8 +419,9 @@ def run_replay(
 ) -> List[EpisodeReport]:
     """Drive the engine through a log: offer → advance → drain, per tick.
 
-    ``engine`` is any engine-protocol object (:class:`StreamEngine` or
-    :class:`~repro.stream.router.ShardedStreamEngine`).  When a journal
+    ``engine`` is any engine-protocol object (``offer`` / ``advance`` /
+    ``drain`` / ``flush`` / ``close``, ``reports``, ``on_report`` and
+    ``lg_lookup``), normally a :class:`StreamEngine`.  When a journal
     is supplied every emitted report is durably appended (the engine's
     ``on_report`` hook), so an interrupted replay resumes via
     ``cached_reports`` with bit-identical output.
@@ -481,11 +462,8 @@ def run_stream_replay(
     config: ReplayConfig,
     policy: str = "quarantine",
     window_width: int = 4,
-    window_capacity: int = 0,
     open_after: int = 2,
     close_after: int = 2,
-    max_pending: int = 8,
-    overflow_limit: int = 32,
     workers: int = 0,
     shards: int = 1,
     tenants: Optional[Tuple[TenantConfig, ...]] = None,
@@ -494,21 +472,17 @@ def run_stream_replay(
     cached_reports: Optional[Mapping[int, EpisodeReport]] = None,
     degradation: Optional[DegradationReport] = None,
     save_log: Optional[str] = None,
-    supervise: bool = False,
-    supervision: Optional["SupervisionConfig"] = None,
-    checkpoint_path: Optional[str] = None,
     dlq_path: Optional[str] = None,
 ) -> StreamRunResult:
     """Build the log, run the engine over it, and gather every counter.
 
-    ``shards > 1`` (or any ``tenants``) runs the
-    :class:`~repro.stream.router.ShardedStreamEngine`; with admission
-    disabled its reports are bit-identical to the serial engine's.
+    ``shards > 1`` spreads the pairs over that many shards; with no
+    ``tenants`` the reports are bit-identical to a single-shard run.
 
-    ``config.chaos_rate > 0`` (or ``supervise=True``) runs the
-    :class:`~repro.stream.supervise.SupervisedStreamEngine`: the chaos
-    plan is seeded from ``config.seed``, so two runs of the same config
-    crash the same shards at the same ticks and recover identically.
+    ``config.chaos_rate > 0`` (or a ``dlq_path``) supervises the run
+    (see :func:`build_engine`): the chaos plan is seeded from
+    ``config.seed``, so two runs of the same config crash the same
+    shards at the same ticks and recover identically.
     """
     if degradation is None:
         degradation = DegradationReport()
@@ -519,12 +493,9 @@ def run_stream_replay(
         diagnosers=setup.diagnosers,
         asx=setup.asx,
         window_width=window_width,
-        window_capacity=window_capacity,
         open_after=open_after,
         close_after=close_after,
         policy=policy,
-        max_pending=max_pending,
-        overflow_limit=overflow_limit,
         workers=workers,
         degradation=degradation,
         cached_reports=cached_reports,
@@ -536,9 +507,6 @@ def run_stream_replay(
         tenants=tenants,
         tenant_of=tenant_of,
         chaos_rate=config.chaos_rate,
-        supervise=supervise,
-        supervision=supervision,
-        checkpoint_path=checkpoint_path,
         dlq_path=dlq_path,
     )
     log = build_event_log(setup, config, report=degradation)
@@ -558,14 +526,6 @@ def run_stream_replay(
         detector_counters=engine.detector_counters(),
         latencies=list(engine.latencies),
         stage_seconds=engine.stage_seconds(),
-        shard_stats=(
-            engine.shard_stats()
-            if isinstance(engine, ShardedStreamEngine)
-            else None
-        ),
-        supervision=(
-            engine.supervision_stats()
-            if isinstance(engine, SupervisedStreamEngine)
-            else None
-        ),
+        shard_stats=engine.shard_stats(),
+        supervision=engine.supervision_stats(),
     )

@@ -1,4 +1,4 @@
-"""Self-healing supervision over the sharded streaming engine.
+"""Self-healing supervision for the streaming engine.
 
 A service meant to run for months will lose shards: processes crash,
 GC pauses stall them, a hot shard falls behind.  This module is the
@@ -32,6 +32,11 @@ recovery layer that turns those failures from silent wrong answers into
   what, why, which shard, which tick.  ``python -m repro stream --dlq``
   inspects it.
 
+:class:`~repro.stream.engine.StreamEngine` turns this layer on when it
+is given any of its collaborators (a chaos plan, a
+:class:`SupervisionConfig`, a checkpoint store or a dead-letter queue);
+without them it builds no supervisor and no breakers.
+
 **Determinism contract.**  Supervised replay with a seeded chaos plan is
 a pure function of (event log, config, seed): every crash/stall/poison
 decision, every recovery, every dead-letter entry reproduces exactly.
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -52,10 +56,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import StreamError, SupervisionError
 from repro.faults import FaultPlan
 from repro.stream.checkpoint import CheckpointStore
-from repro.stream.engine import EpisodeDiagnosis, _empty_diagnosis
-from repro.stream.episodes import CLOSE, EpisodeTransition
+from repro.stream.episodes import EpisodeTransition
 from repro.stream.events import StreamEvent, stream_event_to_dict
-from repro.stream.router import ShardedStreamEngine, StreamShard, _MergeEngine
+from repro.stream.router import StreamShard
 
 __all__ = [
     "DLQ_FORMAT",
@@ -64,7 +67,6 @@ __all__ = [
     "DeadLetterQueue",
     "load_dead_letters",
     "ShardSupervisor",
-    "SupervisedStreamEngine",
 ]
 
 logger = logging.getLogger(__name__)
@@ -569,282 +571,3 @@ class ShardSupervisor:
         }
         counts.update(self.checkpoints.counters())
         return counts
-
-
-class _SupervisedMergeEngine(_MergeEngine):
-    """The merge engine with breakers, poison awareness and stale holds.
-
-    Diagnosis work for a variant whose breaker is not closed — and *all*
-    work when worker poison can fire — runs inline rather than in the
-    process pool: pooled workers swallow exceptions, and the breaker
-    must observe every outcome in deterministic (transition, variant)
-    order for chaos replays to be bit-identical.
-    """
-
-    def __init__(
-        self,
-        *args,
-        plan: Optional[FaultPlan] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self._plan = plan
-        self._supervision = supervision or SupervisionConfig()
-        self._dead_letters = dead_letters
-        self.supervisor: Optional[ShardSupervisor] = None
-        self.breakers: Dict[str, CircuitBreaker] = {
-            label: CircuitBreaker(
-                threshold=self._supervision.breaker_threshold,
-                cooldown=self._supervision.breaker_cooldown,
-            )
-            for label in self.diagnosers
-        }
-        self._drain_tick = 0
-        self._episode_failures: Dict[int, int] = {}
-        self._dead_episodes: set = set()
-        self.diagnoses_short_circuited = 0
-        self.diagnoses_poisoned = 0
-        self.transitions_dead_lettered = 0
-
-    # ----------------------------------------------------------- merge view
-
-    def _shard_alarms(self, tick: int) -> List[Tuple[Pair, ...]]:
-        if self.supervisor is None:
-            return super()._shard_alarms(tick)
-        return [
-            self.supervisor.alarm_view(shard.index, tick)
-            for shard in self._shards
-        ]
-
-    # ------------------------------------------------------------ dead work
-
-    def _schedule(self, transition: EpisodeTransition) -> None:
-        if (
-            transition.episode_id in self._dead_episodes
-            and transition.kind != CLOSE
-        ):
-            # Struck-out episode: parking further work beats wedging the
-            # queue with diagnoses that will hard-fail again.
-            self.transitions_dead_lettered += 1
-            if self._dead_letters is not None:
-                shard = None
-                if self._router is not None and transition.pairs:
-                    shard = self._router.shard_for_destination(
-                        transition.pairs[0][1]
-                    )
-                self._dead_letters.put_episode(
-                    transition, reason="episode-strikes", shard=shard
-                )
-            return
-        super()._schedule(transition)
-
-    # ------------------------------------------------------------ diagnosis
-
-    def drain(self, now: int):
-        self._drain_tick = now
-        return super().drain(now)
-
-    def _pool_allowed(self, label: str, transition) -> bool:
-        if not super()._pool_allowed(label, transition):
-            return False
-        if self.breakers[label].state != BREAKER_CLOSED:
-            return False
-        if self._plan is not None and self._plan.config.worker_poison_rate > 0:
-            return False
-        return True
-
-    def _diagnose_inline(
-        self,
-        label,
-        diagnoser,
-        snapshot,
-        control,
-        transition=None,
-    ) -> EpisodeDiagnosis:
-        breaker = self.breakers[label]
-        tick = self._drain_tick
-        if not breaker.allow(tick):
-            self.diagnoses_short_circuited += 1
-            return _empty_diagnosis(label, error="CircuitOpen")
-        if (
-            self._plan is not None
-            and transition is not None
-            and self._plan.worker_poisoned(
-                diagnoser.variant, str(transition.episode_id)
-            )
-        ):
-            # The injected worker loss: the diagnoser "process" dies on
-            # this input.  Modelled as the timeout the runner would see.
-            self.diagnoses_poisoned += 1
-            verdict = _empty_diagnosis(label, error="JobTimeoutError")
-        else:
-            verdict = super()._diagnose_inline(
-                label, diagnoser, snapshot, control, transition=transition
-            )
-        if verdict.error in HARD_FAILURES:
-            breaker.record_failure(tick)
-            if transition is not None:
-                failures = self._episode_failures.get(
-                    transition.episode_id, 0
-                ) + 1
-                self._episode_failures[transition.episode_id] = failures
-                if failures >= self._supervision.episode_strikes:
-                    self._dead_episodes.add(transition.episode_id)
-        elif verdict.error is None:
-            breaker.record_success()
-        return verdict
-
-    # ------------------------------------------------------------- counters
-
-    def counters(self) -> Dict[str, int]:
-        counts = super().counters()
-        counts["diagnoses_short_circuited"] = self.diagnoses_short_circuited
-        counts["diagnoses_poisoned"] = self.diagnoses_poisoned
-        counts["transitions_dead_lettered"] = self.transitions_dead_lettered
-        counts["breaker_opened"] = sum(
-            b.times_opened for b in self.breakers.values()
-        )
-        counts["breaker_reclosed"] = sum(
-            b.times_reclosed for b in self.breakers.values()
-        )
-        counts["breaker_short_circuits"] = sum(
-            b.short_circuits for b in self.breakers.values()
-        )
-        counts["breaker_probes"] = sum(
-            b.probes for b in self.breakers.values()
-        )
-        return counts
-
-
-class SupervisedStreamEngine(ShardedStreamEngine):
-    """The sharded engine wrapped in the self-healing layer.
-
-    Same engine protocol as :class:`ShardedStreamEngine`; the additions
-    are a :class:`ShardSupervisor` in the tick loop, per-variant
-    :class:`CircuitBreaker` instances around diagnosis, and a
-    :class:`DeadLetterQueue` behind both.  Built by
-    :func:`~repro.stream.replay.run_stream_replay` when chaos or
-    supervision is requested.
-    """
-
-    def __init__(
-        self,
-        *args,
-        plan: Optional[FaultPlan] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        checkpoints: Optional[CheckpointStore] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        **kwargs,
-    ) -> None:
-        # _make_merge_engine runs inside super().__init__ and reads these.
-        self._plan = plan
-        self._supervision = supervision or SupervisionConfig()
-        self._checkpoints = checkpoints or CheckpointStore()
-        self.dead_letters = dead_letters or DeadLetterQueue()
-        super().__init__(*args, **kwargs)
-        self.supervisor = ShardSupervisor(
-            self.shards,
-            config=self._supervision,
-            plan=plan,
-            checkpoints=self._checkpoints,
-            dead_letters=self.dead_letters,
-        )
-        self._engine.supervisor = self.supervisor
-
-    def _make_merge_engine(self, **kwargs) -> _SupervisedMergeEngine:
-        return _SupervisedMergeEngine(
-            self.shards,
-            self.merger,
-            router=self.router,
-            plan=self._plan,
-            supervision=self._supervision,
-            dead_letters=self.dead_letters,
-            **kwargs,
-        )
-
-    # ----------------------------------------------------- engine protocol
-
-    def offer(self, event: StreamEvent) -> bool:
-        """Route one event, diverting a dark shard's share to its buffer.
-
-        Broadcasts are still screened exactly once; live shards fold the
-        screened event immediately, dark shards get it buffered (and the
-        tail records it for every live shard, for a later crash's
-        replay).  A dark shard's pair event is buffered raw — it will be
-        screened on replay, which keeps screening counters exact.
-        """
-        self.events_offered += 1
-        shard_index = self.router.route(event)
-        if shard_index is None:
-            self.events_broadcast += 1
-            started = time.perf_counter()
-            admitted = self.control_ingestor.ingest(event)
-            self._engine.seconds["ingest"] += time.perf_counter() - started
-            if admitted is None:
-                return False
-            for shard in self.shards:
-                if self.supervisor.is_dark(shard.index):
-                    self.supervisor.buffer_event(shard.index, "bcast", admitted)
-                else:
-                    shard.observe_broadcast(admitted)
-                    self.supervisor.record_tail(shard.index, "bcast", admitted)
-            self.events_admitted += 1
-            return True
-        if self.admission.enabled:
-            tenant = self.tenant_of(event) if self.tenant_of else None
-            if not self.admission.admit(tenant):
-                return False
-        if self.supervisor.is_dark(shard_index):
-            self.supervisor.buffer_event(shard_index, "pair", event)
-            return True
-        if self.shards[shard_index].offer(event):
-            self.supervisor.record_tail(shard_index, "pair", event)
-            self.events_admitted += 1
-            return True
-        return False
-
-    def advance(self, tick: int):
-        self.admission.on_tick(tick)
-        self.events_admitted += self.supervisor.begin_tick(tick)
-        transitions = self._engine.advance(tick)
-        self.supervisor.end_tick(tick)
-        return transitions
-
-    def flush(self, now: int):
-        # End-of-stream: nothing buffered may stay dark, or its events
-        # would silently vanish from the final verdicts.
-        self.events_admitted += self.supervisor.force_recover(now)
-        return super().flush(now)
-
-    def close(self) -> None:
-        super().close()
-        self.dead_letters.close()
-
-    # ------------------------------------------------------------- counters
-
-    def counters(self) -> Dict[str, int]:
-        counts = super().counters()
-        counts.update(self.supervisor.counters())
-        counts["dead_lettered"] = (
-            self.supervisor.events_dead_lettered
-            + self._engine.transitions_dead_lettered
-        )
-        return counts
-
-    def supervision_stats(self) -> Dict[str, Any]:
-        """The supervision block for reports and benchmark artifacts."""
-        return {
-            "counters": self.supervisor.counters(),
-            "ticks_to_recover": list(self.supervisor.ticks_to_recover),
-            "incidents": list(self.supervisor.incidents),
-            "breakers": {
-                label: dict(breaker.counters(), state=breaker.state)
-                for label, breaker in self._engine.breakers.items()
-            },
-            "diagnoses_short_circuited": self._engine.diagnoses_short_circuited,
-            "diagnoses_poisoned": self._engine.diagnoses_poisoned,
-            "transitions_dead_lettered": self._engine.transitions_dead_lettered,
-            "dead_letters": len(self.dead_letters),
-        }

@@ -68,7 +68,7 @@ class TestBackpressure:
         assert eng.episodes_coalesced == 1
         assert eng.transitions_deferred == 0
         # The queued entry keeps the open kind but diagnoses newest state.
-        queued = eng._pending[0].transition
+        queued = eng._pending[0]
         assert queued.kind == OPEN
         assert queued.tick == 1
         assert queued.pairs == (AB, (A, MID))

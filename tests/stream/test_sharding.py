@@ -1,12 +1,13 @@
-"""Sharded-engine guarantees: stable routing, deterministic admission,
+"""Sharding guarantees: stable routing, deterministic admission,
 lossless cross-shard merging, and the headline contract — ``shards=K,
-workers=W`` replay bit-identical to serial single-shard replay on the
-golden scenarios, including under journalled resume."""
+workers=W`` (and supervised) replay bit-identical to single-shard replay
+on the golden scenarios, including under journalled resume."""
 
 import pytest
 
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE
 from repro.errors import StreamError
+from repro.experiments.journal import RunJournal
 from repro.stream import (
     AdmissionController,
     CrossShardMerger,
@@ -16,12 +17,13 @@ from repro.stream import (
     SensorDropoutEvent,
     SensorHeartbeatEvent,
     ShardRouter,
-    ShardedStreamEngine,
     SlidingWindow,
+    StreamEngine,
     TenantConfig,
+    assemble_snapshot,
+    build_event_log,
     make_replay_setup,
-    merged_control_view,
-    merged_snapshot,
+    run_replay,
     run_stream_replay,
     source_tenant_of,
     stable_hash,
@@ -196,8 +198,8 @@ class TestMergedViews:
         _fill(shard0, self.PAIRS[:2])
         _fill(shard1, self.PAIRS[2:])
 
-        expected = single.snapshot(asn_of)
-        merged = merged_snapshot([shard0, shard1], asn_of)
+        expected = assemble_snapshot([single], asn_of)
+        merged = assemble_snapshot([shard0, shard1], asn_of)
         assert merged is not None
         assert merged.before.pairs() == expected.before.pairs()
         assert merged.after.pairs() == expected.after.pairs()
@@ -206,11 +208,11 @@ class TestMergedViews:
             assert merged.before.get(pair) == expected.before.get(pair)
 
     def test_merged_snapshot_of_empty_windows_is_none(self):
-        assert merged_snapshot([SlidingWindow(width=4)], asn_of) is None
+        assert assemble_snapshot([SlidingWindow(width=4)], asn_of) is None
 
     def test_merged_control_view_dedups_broadcast_copies(self):
-        """Every shard window holds the same broadcast feed entries; the
-        merged view must equal one window's, not N concatenated copies."""
+        """A broadcast feed entry is held once however many shards there
+        are: the view equals a single shard's, not N concatenated copies."""
         from repro.core.control_plane import WithdrawalObservation
         from repro.stream import WithdrawalEvent
 
@@ -225,14 +227,14 @@ class TestMergedViews:
                 seq=0,
             ),
         )
-        single = SlidingWindow(width=4)
-        single.observe(event)
-        shards = [SlidingWindow(width=4) for _ in range(3)]
-        for window in shards:
-            window.observe(event)
+        single = StreamEngine(asn_of=asn_of, diagnosers={})
+        sharded = StreamEngine(asn_of=asn_of, diagnosers={}, shards=3)
+        for engine in (single, sharded):
+            assert engine.offer(event)
 
-        expected = single.control_view(64500)
-        merged = merged_control_view(shards, 64500)
+        expected = single.feed.view(64500)
+        merged = sharded.feed.view(64500)
+        assert len(merged.withdrawals) == 1
         assert merged.withdrawals == expected.withdrawals
         assert merged.igp_link_down == expected.igp_link_down
 
@@ -276,7 +278,7 @@ class TestShardedEngineUnits:
         kwargs.setdefault("asn_of", asn_of)
         kwargs.setdefault("diagnosers", {})
         kwargs.setdefault("shards", 2)
-        return ShardedStreamEngine(**kwargs)
+        return StreamEngine(**kwargs)
 
     def test_broadcast_screened_once_and_fanned_out(self):
         engine = self._engine()
@@ -310,81 +312,99 @@ class TestShardedEngineUnits:
         assert engine.detector_counters()["pairs_tracked"] == 4
 
 
+def _replay(**kwargs):
+    return run_stream_replay(make_replay_setup(**SETUP_ARGS), CONFIG, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_stream_replay(make_replay_setup(**SETUP_ARGS), CONFIG)
+    return _replay()
+
+
+def _resumed(first_layout, resumed_layout):
+    """Run one layout with a journal, resume the run in another.
+
+    The journal fingerprint deliberately excludes the shard count: an
+    interrupted serial run resumes sharded (and vice versa) with every
+    completed report reused bit-identically.
+    """
+
+    def run(tmp_path):
+        fingerprint = {"format": "repro-stream-journal", "config": CONFIG}
+        journal = RunJournal(tmp_path / "stream.journal", fingerprint)
+        first = _replay(journal=journal, **first_layout)
+        resumed = _replay(
+            cached_reports=journal.load_completed(), **resumed_layout
+        )
+        assert resumed.engine_counters["reports_reused"] == len(first.reports)
+        assert resumed.reports == first.reports
+        return resumed
+
+    return run
+
+
+#: Every process layout the golden replay must not be able to tell apart.
+LAYOUTS = {
+    "shards4": lambda tmp_path: _replay(shards=4),
+    "shards4-workers2": lambda tmp_path: _replay(shards=4, workers=2),
+    "supervised-without-chaos": lambda tmp_path: _replay(
+        dlq_path=str(tmp_path / "dead.jsonl")
+    ),
+    "serial-journal-resumes-sharded": _resumed({}, dict(shards=4, workers=2)),
+    "sharded-journal-resumes-serial": _resumed(dict(shards=4), {}),
+}
 
 
 class TestShardedDeterminism:
     """The tentpole contract on the golden replay scenario."""
 
-    def test_sharded_replay_is_bit_identical_to_serial(self, serial_result):
-        sharded = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4
-        )
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_replay_is_bit_identical_to_serial(
+        self, layout, serial_result, tmp_path
+    ):
+        result = LAYOUTS[layout](tmp_path)
         assert serial_result.reports  # the scenario diagnosed something
-        assert sharded.reports == serial_result.reports
-        assert sharded.episodes == serial_result.episodes
-        assert sharded.shard_stats is not None
-        assert len(sharded.shard_stats) == 4
-
-    def test_sharded_parallel_replay_is_bit_identical(self, serial_result):
-        sharded = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4, workers=2
-        )
-        assert sharded.reports == serial_result.reports
+        assert result.reports == serial_result.reports
+        assert result.episodes == serial_result.episodes
 
     def test_sharded_counters_reconcile_with_serial(self, serial_result):
-        sharded = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4
-        )
+        sharded = _replay(shards=4)
         serial = serial_result.engine_counters
         counters = sharded.engine_counters
         assert counters["events_offered"] == serial["events_offered"]
         assert counters["events_admitted"] == serial["events_admitted"]
         assert counters["shards"] == 4
+        assert sharded.shard_stats is not None
+        assert len(sharded.shard_stats) == 4
+        assert serial_result.shard_stats is None
         # Same screening verdicts overall, just distributed.
         assert sharded.ingest_counters == serial_result.ingest_counters
+        # Broadcast state is counted once, not once per shard.
+        assert sharded.window_counters == serial_result.window_counters
         assert (
             sharded.detector_counters["episodes_total"]
             == serial_result.detector_counters["episodes_total"]
         )
 
-    def test_serial_journal_resumes_a_sharded_run(self, tmp_path, serial_result):
-        """The journal fingerprint deliberately excludes the shard count:
-        an interrupted serial run resumes sharded (and vice versa) with
-        every completed report reused bit-identically."""
-        from repro.experiments.journal import RunJournal
-
-        fingerprint = {"format": "repro-stream-journal", "config": CONFIG}
-        journal = RunJournal(tmp_path / "stream.journal", fingerprint)
-        first = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, journal=journal
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_feed_evictions_are_counted_once(self, shards):
+        """Every shard sees each broadcast control-plane message, but its
+        eviction is one stale eviction, as in the one-shard run."""
+        setup = make_replay_setup(seed=0, n_sensors=6)
+        log = build_event_log(
+            setup, ReplayConfig(kind="link-1", episodes=3, seed=0)
         )
-        assert first.reports == serial_result.reports
-        cached = journal.load_completed()
-
-        resumed = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS),
-            CONFIG,
-            shards=4,
-            workers=2,
-            cached_reports=cached,
-        )
-        assert resumed.reports == first.reports
-        assert resumed.engine_counters["reports_reused"] == len(first.reports)
-
-    def test_sharded_journal_resumes_a_serial_run(self, tmp_path, serial_result):
-        from repro.experiments.journal import RunJournal
-
-        fingerprint = {"format": "repro-stream-journal", "config": CONFIG}
-        journal = RunJournal(tmp_path / "stream.journal", fingerprint)
-        first = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, shards=4, journal=journal
-        )
-        cached = journal.load_completed()
-        resumed = run_stream_replay(
-            make_replay_setup(**SETUP_ARGS), CONFIG, cached_reports=cached
-        )
-        assert resumed.reports == first.reports == serial_result.reports
-        assert resumed.engine_counters["reports_reused"] == len(first.reports)
+        engines = [
+            StreamEngine(
+                asn_of=setup.session.sim.mapper.asn_of,
+                diagnosers={},
+                asx=setup.asx,
+                shards=count,
+            )
+            for count in (1, shards)
+        ]
+        for engine in engines:
+            run_replay(log, engine)
+        serial, sharded = engines
+        assert serial.feed.stale_evictions > 0  # the log has feed traffic
+        assert sharded.window_counters() == serial.window_counters()

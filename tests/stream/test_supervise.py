@@ -16,9 +16,8 @@ from repro.stream import (
     ReachabilityEvent,
     ReplayConfig,
     ShardSupervisor,
-    ShardedStreamEngine,
+    StreamEngine,
     StreamShard,
-    SupervisedStreamEngine,
     SupervisionConfig,
     UPDATE,
     CLOSE,
@@ -265,23 +264,23 @@ class TestShardSupervisorUnits:
 
 class TestEpisodeStrikes:
     def test_struck_episodes_divert_to_the_dead_letter_queue(self):
-        engine = SupervisedStreamEngine(
-            asn_of=asn_of, diagnosers={}, shards=2
+        engine = StreamEngine(
+            asn_of=asn_of, diagnosers={}, shards=2,
+            dead_letters=DeadLetterQueue(),
         )
-        merge = engine._engine
-        merge._dead_episodes.add(7)
-        merge._schedule(
+        engine._dead_episodes.add(7)
+        engine._schedule(
             EpisodeTransition(kind=UPDATE, episode_id=7, tick=3, pairs=((A, B),))
         )
-        assert merge.transitions_dead_lettered == 1
+        assert engine.transitions_dead_lettered == 1
         entry = engine.dead_letters.entries[0]
         assert entry["reason"] == "episode-strikes"
         assert entry["episode_id"] == 7
         # The close still goes through: the episode must end cleanly.
-        merge._schedule(
+        engine._schedule(
             EpisodeTransition(kind=CLOSE, episode_id=7, tick=4, pairs=())
         )
-        assert merge.transitions_dead_lettered == 1
+        assert engine.transitions_dead_lettered == 1
         engine.close()
 
 
@@ -305,12 +304,12 @@ class TestScriptedRecovery:
     def _undisturbed(self, golden_log):
         setup, log = golden_log
         return run_replay(
-            log, ShardedStreamEngine(shards=2, **_engine_kwargs(setup))
+            log, StreamEngine(shards=2, **_engine_kwargs(setup))
         )
 
     def _supervised(self, golden_log, plan, **config):
         setup, log = golden_log
-        engine = SupervisedStreamEngine(
+        engine = StreamEngine(
             shards=2,
             plan=plan,
             supervision=SupervisionConfig(**config),
@@ -405,10 +404,10 @@ class TestScriptedRecovery:
 
     def test_supervision_without_chaos_is_transparent(self, golden_log):
         """No plan, no incidents: the supervised engine is report- and
-        counter-identical to the plain sharded engine."""
+        counter-identical to the unsupervised one."""
         setup, log = golden_log
         baseline = self._undisturbed(golden_log)
-        plain = ShardedStreamEngine(shards=2, **_engine_kwargs(setup))
+        plain = StreamEngine(shards=2, **_engine_kwargs(setup))
         run_replay(log, plain)
         reports, engine = self._supervised(golden_log, None)
         assert reports == baseline

@@ -1,6 +1,6 @@
 """Sliding-window tests: slot semantics, tick/LRU eviction, dark
-sensors, and snapshot assembly that satisfies the batch invariants by
-construction."""
+sensors, the control-plane feed, and snapshot assembly that satisfies
+the batch invariants by construction."""
 
 import pytest
 
@@ -11,12 +11,14 @@ from repro.core.control_plane import (
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE, ProbePath
 from repro.errors import StreamError
 from repro.stream import (
+    ControlFeed,
     IgpLinkDownEvent,
     ProbeEvent,
     SensorDropoutEvent,
     SensorHeartbeatEvent,
     SlidingWindow,
     WithdrawalEvent,
+    assemble_snapshot,
 )
 
 A, B, C = "10.0.0.1", "10.0.0.2", "10.0.0.3"
@@ -55,9 +57,9 @@ class TestSlots:
     def test_snapshot_requires_both_slots(self):
         window = SlidingWindow(width=4)
         window.observe(probe(A, B, EPOCH_PRE))
-        assert window.snapshot(asn_of) is None
+        assert assemble_snapshot([window], asn_of) is None
         window.observe(probe(A, B, EPOCH_POST, reached=False))
-        snapshot = window.snapshot(asn_of)
+        snapshot = assemble_snapshot([window], asn_of)
         assert snapshot is not None
         assert snapshot.after.pairs() == ((A, B),)
         assert snapshot.any_failure()
@@ -73,7 +75,7 @@ class TestSlots:
         seed_pair(window, A, B)
         seed_pair(window, A, C)  # evicts the (A, B) entries
         assert window.counters()["lru_evictions"] == 2
-        snapshot = window.snapshot(asn_of)
+        snapshot = assemble_snapshot([window], asn_of)
         assert snapshot.after.pairs() == ((A, C),)
 
 
@@ -83,18 +85,18 @@ class TestEviction:
         seed_pair(window, tick=0)
         # horizon = now - width = 0: both tick-0 slots are stale.
         assert window.evict(now=2) == 2
-        assert window.snapshot(asn_of) is None
+        assert assemble_snapshot([window], asn_of) is None
         assert window.counters()["stale_evictions"] == 2
 
     def test_fresh_observations_survive(self):
         window = SlidingWindow(width=4)
         seed_pair(window, tick=3)
         window.evict(now=5)
-        assert window.snapshot(asn_of) is not None
+        assert assemble_snapshot([window], asn_of) is not None
 
     def test_control_plane_messages_age_out(self):
-        window = SlidingWindow(width=2)
-        window.observe(
+        feed = ControlFeed(width=2)
+        feed.observe(
             IgpLinkDownEvent(
                 tick=0,
                 seq=0,
@@ -103,8 +105,9 @@ class TestEviction:
                 ),
             )
         )
-        window.evict(now=3)
-        assert window.control_view(64500).igp_link_down == ()
+        assert feed.evict(now=3) == 1
+        assert feed.view(64500).igp_link_down == ()
+        assert feed.stale_evictions == 1
 
 
 class TestDarkSensors:
@@ -112,7 +115,7 @@ class TestDarkSensors:
         window = SlidingWindow(width=4)
         seed_pair(window, A, B)
         window.observe(SensorDropoutEvent(tick=1, seq=9, address=B))
-        assert window.snapshot(asn_of) is None
+        assert assemble_snapshot([window], asn_of) is None
         assert window.dark_sensors() == (B,)
 
     def test_heartbeat_restores_pair(self):
@@ -120,13 +123,13 @@ class TestDarkSensors:
         seed_pair(window, A, B)
         window.observe(SensorDropoutEvent(tick=1, seq=9, address=B))
         window.observe(SensorHeartbeatEvent(tick=2, seq=10, address=B))
-        assert window.snapshot(asn_of) is not None
+        assert assemble_snapshot([window], asn_of) is not None
         assert window.dark_sensors() == ()
 
 
 class TestControlView:
     def test_messages_listed_in_arrival_order(self):
-        window = SlidingWindow(width=4)
+        feed = ControlFeed(width=4)
         early = WithdrawalObservation(
             prefix="10.0.9.0/24",
             at_address=A,
@@ -143,9 +146,9 @@ class TestControlView:
         )
         # Folded out of order: the view restores stream-arrival order
         # (the event seq), matching what the batch collector would list.
-        window.observe(WithdrawalEvent(tick=0, seq=6, observation=late))
-        window.observe(WithdrawalEvent(tick=0, seq=5, observation=early))
-        view = window.control_view(64500)
+        feed.observe(WithdrawalEvent(tick=0, seq=6, observation=late))
+        feed.observe(WithdrawalEvent(tick=0, seq=5, observation=early))
+        view = feed.view(64500)
         assert view.withdrawals == (early, late)
         assert view.asx_asn == 64500
 
@@ -167,14 +170,14 @@ class TestCacheAccountingThroughWindow:
             assert counters["hits"] == 0 and counters["misses"] == 0
             assert counters["entries"] == 0
         # An empty window snapshots to None without spending lookups.
-        assert window.snapshot(asn_of) is None
+        assert assemble_snapshot([window], asn_of) is None
         assert window._baseline.counters()["misses"] == 0
 
     def test_snapshot_spends_exactly_one_lookup_per_slot(self):
         window = SlidingWindow(width=4)
         seed_pair(window, A, B, tick=0)
         seed_pair(window, B, C, tick=0)
-        assert window.snapshot(asn_of) is not None
+        assert assemble_snapshot([window], asn_of) is not None
         for cache in (window._baseline, window._current):
             assert cache.counters() == {
                 "hits": 2,
@@ -201,7 +204,7 @@ class TestCacheAccountingThroughWindow:
         assert window.usable_pairs() == ((B, C),)
         for cache in (window._baseline, window._current):
             assert cache.hits == 0 and cache.misses == 0
-        snapshot = window.snapshot(asn_of)
+        snapshot = assemble_snapshot([window], asn_of)
         assert snapshot.after.pairs() == ((B, C),)
         assert window._baseline.hits == 1  # only the usable pair
         window.observe(SensorHeartbeatEvent(tick=2, seq=101, address=A))
