@@ -33,7 +33,7 @@ from repro.core.linkspace import (
     sort_key,
     undirected_projection,
 )
-from repro.core.logical import logicalize
+from repro.core.logical import TokenView, logicalize
 from repro.core.metrics import (
     MetricPair,
     as_projection,
@@ -93,6 +93,7 @@ __all__ = [
     "ip_link",
     "is_unidentified",
     "logicalize",
+    "TokenView",
     "nd_bgpigp",
     "nd_edge",
     "nd_edge_multipath",

@@ -79,14 +79,15 @@ def bayesian_diagnosis(
     if not 0.0 < leak < 1.0:
         raise DiagnosisError("leak probability must be in (0, 1)")
 
+    links_of = snapshot.view.physical
     failure_sets: List[FrozenSet[LinkToken]] = [
-        frozenset(snapshot.before.get(pair).links())
+        frozenset(links_of(snapshot.before.get(pair)))
         for pair in snapshot.failed_pairs()
     ]
     working: Set[LinkToken] = set()
     working_store = snapshot.after if use_post_failure_paths else snapshot.before
     for pair in snapshot.working_pairs():
-        working.update(working_store.get(pair).links())
+        working.update(links_of(working_store.get(pair)))
 
     candidates: Set[LinkToken] = set()
     for failure_set in failure_sets:
@@ -117,9 +118,11 @@ def bayesian_diagnosis(
         candidates.discard(best_token)
         unexplained = [s for s in unexplained if best_token not in s]
 
-    graph = InferredGraph.from_paths(snapshot.before.paths())
+    graph = InferredGraph.from_paths(snapshot.before.paths(), links_of)
     if use_post_failure_paths:
-        graph = graph.merge(InferredGraph.from_paths(snapshot.after.paths()))
+        graph = graph.merge(
+            InferredGraph.from_paths(snapshot.after.paths(), links_of)
+        )
     return DiagnosisResult(
         algorithm="bayesian",
         hypothesis=frozenset(hypothesis),

@@ -34,7 +34,6 @@ from repro.core.linkspace import (
     LogicalLink,
     undirected_projection,
 )
-from repro.core.logical import logicalize
 from repro.core.pathset import MeasurementSnapshot, Pair, PathStore
 from repro.core.result import DiagnosisResult
 
@@ -79,7 +78,7 @@ def suspect_working_pairs(
     suspects: List[SuspectReport] = []
     for pair in snapshot.working_pairs():
         path = snapshot.after.get(pair)
-        crossed = undirected_projection(logicalize(path, snapshot.asn_of))
+        crossed = undirected_projection(snapshot.view.logical(path))
         hard = crossed & blamed_physical
         soft = (crossed & blamed_logical) - hard
         if hard or soft:
@@ -122,7 +121,8 @@ def exclude_sensor_reports(
     The result satisfies the snapshot invariants by construction — it
     is a pair-subset of a valid snapshot — and feeds the bounded
     re-diagnosis pass: diagnose once more without the implicated
-    sensor's claims and see whether the contradiction dissolves.
+    sensor's claims and see whether the contradiction dissolves.  The
+    child shares the parent's token view (same paths, same ``asn_of``).
     """
     before, after = PathStore(), PathStore()
     for pair in snapshot.before.pairs():
@@ -131,5 +131,5 @@ def exclude_sensor_reports(
         before.add(snapshot.before.get(pair))
         after.add(snapshot.after.get(pair))
     return MeasurementSnapshot(
-        before=before, after=after, asn_of=snapshot.asn_of
+        before=before, after=after, asn_of=snapshot.asn_of, view=snapshot.view
     )

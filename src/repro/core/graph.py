@@ -4,8 +4,9 @@
 paths".  For diagnosability (§4) we additionally need, per link, the set of
 probe pairs traversing it — the link's *hitting set* h(l).  The graph can
 be built at physical granularity (:meth:`InferredGraph.from_paths`) or at
-logical granularity (:meth:`InferredGraph.from_logical_paths`), the latter
-applying the §3.1 logical-link expansion.
+logical granularity: :func:`repro.core.nd_edge.build_edge_inputs` adds
+each path's §3.1 logical tokens (from the snapshot's token view) with
+:meth:`InferredGraph.add_path`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.core.linkspace import LinkToken, sort_key
-from repro.core.logical import logicalize
 from repro.core.pathset import Pair, ProbePath
 
 __all__ = ["InferredGraph"]
@@ -28,23 +28,20 @@ class InferredGraph:
     # -------------------------------------------------------------- builders
 
     @classmethod
-    def from_paths(cls, paths: Iterable[ProbePath]) -> "InferredGraph":
-        """Physical-granularity graph: tokens are directed IpLinks."""
-        graph = cls()
-        for path in paths:
-            graph.add_path(path.pair, path.links())
-        return graph
-
-    @classmethod
-    def from_logical_paths(
+    def from_paths(
         cls,
         paths: Iterable[ProbePath],
-        asn_of: Callable[[str], Optional[int]],
+        links_of: Optional[Callable[[ProbePath], Iterable[LinkToken]]] = None,
     ) -> "InferredGraph":
-        """Logical-granularity graph: interdomain links carry §3.1 tags."""
+        """Physical-granularity graph: tokens are directed IpLinks.
+
+        ``links_of`` supplies each path's tokens (a snapshot's
+        ``view.physical``); by default :meth:`ProbePath.links`.
+        """
+        links_of = links_of or ProbePath.links
         graph = cls()
         for path in paths:
-            graph.add_path(path.pair, logicalize(path, asn_of))
+            graph.add_path(path.pair, links_of(path))
         return graph
 
     def add_path(self, pair: Pair, tokens: Iterable[LinkToken]) -> None:

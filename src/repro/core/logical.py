@@ -15,22 +15,31 @@ Tag determination for the consecutive hop pair (u, v) on a path:
   there, there is no out-neighbour);
 * an unidentified hop interrupts the scan → ``UNKNOWN_TAG`` (the region
   beyond is dark; ND-LG handles those paths at AS granularity instead).
+
+:class:`TokenView` memoizes a path's logical tokens (and its physical
+:meth:`~repro.core.pathset.ProbePath.links`) by hop content, so the many
+consumers of one snapshot — and a stream engine's consecutive snapshots,
+whose traces barely change — expand each distinct trace once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.linkspace import (
     ORIGIN_TAG,
     UNKNOWN_TAG,
+    IpLink,
     LinkToken,
     LogicalLink,
     ip_link,
 )
-from repro.core.pathset import ProbePath
+from repro.netsim.cache import LruCache
 
-__all__ = ["logicalize"]
+if TYPE_CHECKING:  # pathset imports this module for TokenView
+    from repro.core.pathset import ProbePath
+
+__all__ = ["logicalize", "TokenView"]
 
 
 def logicalize(
@@ -83,3 +92,61 @@ def _tag_after(
         if asn != asn_v:
             return asn
     return terminal_tag
+
+
+class TokenView:
+    """Link tokens of probe paths, memoized by hop content.
+
+    :meth:`logical` returns ``logicalize(path, asn_of)`` keyed by
+    ``(path.hops, path.reached)`` and :meth:`physical` returns
+    ``path.links()`` keyed by ``path.hops``.  (The two key shapes never
+    collide: a hop is a string or a star, never a tuple.)  The keys are
+    exact: ``logicalize`` reads nothing of a path but its hops, its
+    ``reached`` flag (the default terminal tag) and ``asn_of`` of its
+    identified hops, and every :class:`~repro.core.linkspace.UhNode` hop
+    carries its own ``(src, dst, epoch, index)``, so two paths share an
+    entry only when their expansions are equal.  ``asn_of`` must
+    therefore be one fixed mapping for the view's lifetime.
+
+    ``capacity`` bounds the entries (least recently used evicted first;
+    0 = unbounded).  ``hits``/``misses`` count token lookups.
+    """
+
+    def __init__(
+        self, asn_of: Callable[[str], Optional[int]], capacity: int = 0
+    ) -> None:
+        self.asn_of = asn_of
+        self.capacity = capacity
+        self._cache: LruCache[tuple, tuple] = LruCache(capacity)
+        # Bound once: lookups are the hot path of every diagnosis.
+        self._get = self._cache.get
+        self._put = self._cache.put
+
+    def logical(self, path: ProbePath) -> Tuple[LinkToken, ...]:
+        """``logicalize(path, asn_of)`` with the default terminal tag."""
+        key = (path.hops, path.reached)
+        tokens = self._get(key)
+        if tokens is None:
+            tokens = logicalize(path, self.asn_of)
+            self._put(key, tokens)
+        return tokens
+
+    def physical(self, path: ProbePath) -> Tuple[IpLink, ...]:
+        """``path.links()``: the directed physical tokens."""
+        hops = path.hops
+        tokens = self._get(hops)
+        if tokens is None:
+            tokens = path.links()
+            self._put(hops, tokens)
+        return tokens
+
+    @property
+    def hits(self) -> int:
+        return self._cache.hits
+
+    @property
+    def misses(self) -> int:
+        return self._cache.misses
+
+    def __len__(self) -> int:
+        return len(self._cache)

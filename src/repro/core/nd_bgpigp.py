@@ -32,7 +32,6 @@ from typing import Dict, FrozenSet, Optional, Set
 from repro.core.control_plane import ControlPlaneView
 from repro.core.hitting_set import greedy_hitting_set
 from repro.core.linkspace import LinkToken, ip_link
-from repro.core.logical import logicalize
 from repro.core.nd_edge import EdgeInputs, build_edge_inputs
 from repro.core.pathset import MeasurementSnapshot, Pair, ProbePath
 from repro.core.result import DiagnosisResult
@@ -90,7 +89,7 @@ def withdrawal_exonerations(
             )
             if crossing is None:
                 continue
-            tokens = logicalize(path, snapshot.asn_of)
+            tokens = snapshot.view.logical(path)
             removals.setdefault(pair, set()).update(tokens[:crossing])
     return {pair: frozenset(tokens) for pair, tokens in removals.items()}
 

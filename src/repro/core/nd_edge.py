@@ -16,7 +16,7 @@ truncated T+ trace demonstrably crossed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.core.graph import InferredGraph
 from repro.core.hitting_set import greedy_hitting_set
@@ -31,12 +31,16 @@ __all__ = ["EdgeInputs", "build_edge_inputs", "nd_edge"]
 TokenSet = FrozenSet[LinkToken]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeInputs:
     """Everything the edge data contributes to a greedy run.
 
     Shared by ND-edge, ND-bgpigp and ND-LG, which differ only in the extra
-    constraints (control plane, UH clusters) they layer on top.
+    constraints (control plane, UH clusters) they layer on top.  One
+    snapshot builds it once per flag combination (see
+    :func:`build_edge_inputs`) and every diagnoser of that snapshot reads
+    the same object, so it is read-only: never mutate its sets, maps or
+    graph.
     """
 
     failure_sets: Dict[Pair, TokenSet]
@@ -98,20 +102,46 @@ def build_edge_inputs(
     ignores any unidentified link" behaviour of §5.4's comparison: failure
     sets keep identified tokens only (ND-LG keeps them and clusters them
     instead).
+
+    Memoized on the snapshot per flag combination: every diagnoser of one
+    snapshot shares the returned (read-only) :class:`EdgeInputs`.
     """
+    key = (use_partial_traces, drop_unidentified_from_failures)
+    memo = snapshot.edge_inputs_memo
+    if key not in memo:
+        memo[key] = _edge_inputs(snapshot, *key)
+    return memo[key]
+
+
+def _edge_inputs(
+    snapshot: MeasurementSnapshot,
+    use_partial_traces: bool,
+    drop_unidentified_from_failures: bool,
+) -> EdgeInputs:
     asn_of = snapshot.asn_of
+    tokens_of = snapshot.view.logical
+
+    # One pass over both rounds: the graph G (T- and T+ coverage) and the
+    # failure/working sets from the same token tuples.
+    graph = InferredGraph()
+    pre: Dict[Pair, Tuple[LinkToken, ...]] = {}
+    for path in snapshot.before.paths():
+        pre[path.pair] = tokens = tokens_of(path)
+        graph.add_path(path.pair, tokens)
+    working: Set[LinkToken] = set()
+    for path in snapshot.after.paths():
+        tokens = tokens_of(path)
+        graph.add_path(path.pair, tokens)
+        if path.reached:
+            working.update(tokens)
 
     failure_sets: Dict[Pair, TokenSet] = {}
     for pair in snapshot.failed_pairs():
-        tokens = logicalize(snapshot.before.get(pair), asn_of)
+        tokens = pre[pair]
         if drop_unidentified_from_failures:
             tokens = tuple(t for t in tokens if t.identified)
         if tokens:
             failure_sets[pair] = frozenset(tokens)
-
-    working: Set[LinkToken] = set()
-    for pair in snapshot.working_pairs():
-        working.update(logicalize(snapshot.after.get(pair), asn_of))
 
     partial: Set[LinkToken] = set()
     if use_partial_traces:
@@ -135,10 +165,6 @@ def build_edge_inputs(
                 if not token.identified:
                     continue
                 partial.add(token)
-
-    graph = InferredGraph.from_logical_paths(
-        snapshot.before.paths(), asn_of
-    ).merge(InferredGraph.from_logical_paths(snapshot.after.paths(), asn_of))
 
     reroute_map = reroute_sets(snapshot, logical=True)
     clusters = physical_clusters(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.linkspace import Endpoint, IpLink, ip_link
+from repro.core.logical import TokenView
 from repro.errors import DiagnosisError
 
 __all__ = [
@@ -59,9 +60,6 @@ class ProbePath:
                 f"probe {self.src}->{self.dst} reached but does not end at "
                 "the destination sensor"
             )
-        # Memo slot for links(); the dataclass is frozen so it must be set
-        # through object.__setattr__ (same trick TraceResult.addresses uses).
-        object.__setattr__(self, "_links_memo", None)
 
     @property
     def pair(self) -> Pair:
@@ -70,16 +68,11 @@ class ProbePath:
     def links(self) -> Tuple[IpLink, ...]:
         """The directed physical-level link tokens along this path.
 
-        Memoised: suspect-set construction walks every failed path's links
-        once per diagnosis variant, and the hops are immutable.
+        Computed on every call; diagnosers read them through their
+        snapshot's :class:`~repro.core.logical.TokenView`, which shares
+        one tuple among all paths with the same hops.
         """
-        memo = self._links_memo
-        if memo is None:
-            memo = tuple(
-                ip_link(a, b) for a, b in zip(self.hops, self.hops[1:])
-            )
-            object.__setattr__(self, "_links_memo", memo)
-        return memo
+        return tuple(ip_link(a, b) for a, b in zip(self.hops, self.hops[1:]))
 
     def has_unidentified_hops(self) -> bool:
         """True when at least one hop is a star."""
@@ -87,16 +80,26 @@ class ProbePath:
 
 
 class PathStore:
-    """One full-mesh measurement round, indexed by probe pair."""
+    """One full-mesh measurement round, indexed by probe pair.
+
+    A store is frozen once a :class:`MeasurementSnapshot` wraps it: the
+    snapshot memoizes what it derives from its paths, so :meth:`add`
+    then raises :class:`~repro.errors.DiagnosisError`.
+    """
 
     def __init__(self, paths: Optional[Dict[Pair, ProbePath]] = None) -> None:
         self._paths: Dict[Pair, ProbePath] = {}
         self._pairs_memo: Optional[Tuple[Pair, ...]] = None
+        self.frozen = False
         for path in (paths or {}).values():
             self.add(path)
 
     def add(self, path: ProbePath) -> None:
         """Insert one probe path (pairs must be unique)."""
+        if self.frozen:
+            raise DiagnosisError(
+                f"cannot add {path.pair}: the store belongs to a snapshot"
+            )
         if path.pair in self._paths:
             raise DiagnosisError(f"duplicate probe for pair {path.pair}")
         self._paths[path.pair] = path
@@ -147,11 +150,19 @@ class MeasurementSnapshot:
     — the IP-to-AS technique of the paper.  The reachability matrix R of
     §2.3 is the ``reached`` flag of the *after* store
     (:meth:`failed_pairs` / :meth:`working_pairs`).
+
+    ``view`` is the :class:`~repro.core.logical.TokenView` every consumer
+    reads path tokens through: a private one by default, or one shared
+    with other snapshots over the same ``asn_of`` (a re-diagnosis child,
+    a stream engine's consecutive snapshots).  It is a cache, not data:
+    it takes no part in equality, repr or pickling.  Wrapping freezes
+    both stores.
     """
 
     before: PathStore
     after: PathStore
     asn_of: Callable[[str], Optional[int]] = field(default=lambda _a: None)
+    view: Optional[TokenView] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if set(self.before.pairs()) != set(self.after.pairs()):
@@ -164,7 +175,28 @@ class MeasurementSnapshot:
                     f"pre-failure probe for pair {pair} did not reach; the "
                     "troubleshooter is only invoked on previously-working pairs"
                 )
+        if self.view is None:
+            self.view = TokenView(self.asn_of)
+        elif self.view.asn_of != self.asn_of:
+            raise DiagnosisError(
+                "a shared token view must map addresses with the snapshot's "
+                "asn_of"
+            )
+        self.before.frozen = self.after.frozen = True
         self._rerouted_memo: Optional[Tuple[Pair, ...]] = None
+        #: build_edge_inputs results by (use_partial_traces,
+        #: drop_unidentified_from_failures); see repro.core.nd_edge.
+        self.edge_inputs_memo: Dict[Tuple[bool, bool], object] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the measurements only: the view and the memos are
+        rebuilt (empty) on the other side."""
+        return {"before": self.before, "after": self.after, "asn_of": self.asn_of}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.view = None
+        self.__post_init__()
 
     def failed_pairs(self) -> Tuple[Pair, ...]:
         """Pairs that became unreachable (R_ij = 0)."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet
 
 from repro.core.linkspace import LinkToken, is_unidentified, physical_projection
-from repro.core.logical import logicalize
 from repro.core.pathset import MeasurementSnapshot, Pair
 
 __all__ = ["reroute_sets"]
@@ -41,14 +40,11 @@ def reroute_sets(
     physical link survives in the new path are therefore not included.
     """
     sets: Dict[Pair, FrozenSet[LinkToken]] = {}
-    asn_of = snapshot.asn_of
+    view = snapshot.view
+    tokens_of = view.logical if logical else view.physical
     for pair in snapshot.rerouted_pairs():
-        old_path = snapshot.before.get(pair)
-        new_path = snapshot.after.get(pair)
-        old_tokens = logicalize(old_path, asn_of) if logical else old_path.links()
-        new_physical = physical_projection(
-            logicalize(new_path, asn_of) if logical else new_path.links()
-        )
+        old_tokens = tokens_of(snapshot.before.get(pair))
+        new_physical = physical_projection(tokens_of(snapshot.after.get(pair)))
         candidates = frozenset(
             token
             for token in old_tokens

@@ -169,7 +169,7 @@ def scfs_diagnose(snapshot) -> "DiagnosisResult":
     unexplained = tuple(
         links
         for links in (
-            frozenset(snapshot.before.get(pair).links())
+            frozenset(snapshot.view.physical(snapshot.before.get(pair)))
             for pair in snapshot.failed_pairs()
         )
         if not links & hypothesis
@@ -177,7 +177,9 @@ def scfs_diagnose(snapshot) -> "DiagnosisResult":
     return DiagnosisResult(
         algorithm="scfs",
         hypothesis=hypothesis,
-        graph=InferredGraph.from_paths(snapshot.before.paths()),
+        graph=InferredGraph.from_paths(
+            snapshot.before.paths(), snapshot.view.physical
+        ),
         unexplained_failures=unexplained,
         details={
             "sources": sources_run,

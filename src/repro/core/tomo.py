@@ -31,16 +31,17 @@ def tomo(snapshot: MeasurementSnapshot) -> DiagnosisResult:
     Only ``snapshot.before`` paths and the reachability matrix are
     consulted, exactly as in §2.4.
     """
+    links_of = snapshot.view.physical
     failure_sets = [
-        frozenset(snapshot.before.get(pair).links())
+        frozenset(links_of(snapshot.before.get(pair)))
         for pair in snapshot.failed_pairs()
     ]
     working: Set[LinkToken] = set()
     for pair in snapshot.working_pairs():
-        working.update(snapshot.before.get(pair).links())
+        working.update(links_of(snapshot.before.get(pair)))
 
     outcome = greedy_hitting_set(failure_sets, excluded=working)
-    graph = InferredGraph.from_paths(snapshot.before.paths())
+    graph = InferredGraph.from_paths(snapshot.before.paths(), links_of)
     return DiagnosisResult(
         algorithm="tomo",
         hypothesis=outcome.hypothesis,

@@ -71,8 +71,8 @@ def compute_deltas(snapshot: MeasurementSnapshot) -> Tuple[TraceDelta, ...]:
         before = snapshot.before.get(pair)
         after = snapshot.after.get(pair)
         shared = _common_prefix(before, after)
-        before_links = before.links()
-        after_links = after.links()
+        before_links = snapshot.view.physical(before)
+        after_links = snapshot.view.physical(after)
         if pair in failed:
             # Lost suffix: every T- link from the divergence point on.
             # shared >= 1 always (both traces start at the source sensor).

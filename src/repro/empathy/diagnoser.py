@@ -51,9 +51,10 @@ class EmpathyDiagnoser:
         deltas = compute_deltas(snapshot)
         events = mine_events(deltas)
 
+        links_of = snapshot.view.physical
         alive: Set[LinkToken] = set()
         for pair in snapshot.working_pairs():
-            alive.update(snapshot.after.get(pair).links())
+            alive.update(links_of(snapshot.after.get(pair)))
 
         hypothesis: Set[LinkToken] = set()
         excluded: Set[LinkToken] = set()
@@ -83,7 +84,7 @@ class EmpathyDiagnoser:
             if delta.kind == KIND_FAILED and not (delta.lost & hypothesis)
         )
         graph = InferredGraph.from_paths(
-            chain(snapshot.before.paths(), snapshot.after.paths())
+            chain(snapshot.before.paths(), snapshot.after.paths()), links_of
         )
         failed = sum(1 for d in deltas if d.kind == KIND_FAILED)
         return DiagnosisResult(

@@ -42,7 +42,11 @@ drained transition run in a process pool — payloads are made picklable
 by snapshotting ``asn_of`` into a :class:`StaticAsnMap` — and results
 are merged back in (transition, variant) order, so parallel output is
 bit-identical to serial.  ``nd-lg`` closures are not picklable and
-always run inline in the parent, in the same merge order.  With
+always run inline in the parent, in the same merge order.  Inline
+diagnoses read path tokens through the engine's bounded
+:class:`~repro.core.logical.TokenView` (:attr:`StreamEngine.token_view`),
+so a trace that persists across snapshots is expanded once; pooled jobs
+rebuild their snapshot, and a private view, in the worker.  With
 admission disabled, any shard count replays bit-identically to one
 shard.
 """
@@ -56,6 +60,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.control_plane import ControlPlaneView
+from repro.core.logical import TokenView
 from repro.core.protocol import Diagnoser
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE, MeasurementSnapshot
 from repro.empathy.ensemble import EnsembleDisagreement
@@ -95,6 +100,10 @@ Pair = Tuple[str, str]
 
 #: Events keyed by a sensor pair; everything else is broadcast.
 _PAIR_EVENTS = (ProbeEvent, ReachabilityEvent)
+
+#: Entries in the engine's token view: the logical and physical tokens of
+#: both rounds of a 64-sensor full mesh (4032 pairs) fit at once.
+TOKEN_VIEW_CAPACITY = 16384
 
 
 @dataclass
@@ -287,6 +296,11 @@ class StreamEngine:
                 degradation=degradation,
             )
         self.feed = ControlFeed(window_width)
+        # Consecutive snapshots hold mostly the same traces: one bounded
+        # view expands each distinct trace once per engine.  It is a
+        # cache of asn_of over hop content, so it is neither state() nor
+        # checkpointed, and every new engine starts it cold.
+        self.token_view = TokenView(asn_of, capacity=TOKEN_VIEW_CAPACITY)
         self.merger = CrossShardMerger()
         self.admission = AdmissionController(tenants)
         self.tenant_of = tenant_of
@@ -577,7 +591,9 @@ class StreamEngine:
         snapshot, control = (None, None)
         if any(t.kind != CLOSE for _i, t in live):
             snapshot = assemble_snapshot(
-                [shard.window for shard in self.shards], self.asn_of
+                [shard.window for shard in self.shards],
+                self.asn_of,
+                view=self.token_view,
             )
             if self.asx is not None:
                 control = self.feed.view(self.asx)

@@ -39,6 +39,7 @@ from repro.core.control_plane import (
     IgpLinkDownObservation,
     WithdrawalObservation,
 )
+from repro.core.logical import TokenView
 from repro.core.pathset import (
     EPOCH_POST,
     EPOCH_PRE,
@@ -268,6 +269,7 @@ class ControlFeed:
 def assemble_snapshot(
     windows: Sequence[SlidingWindow],
     asn_of: Callable[[str], Optional[int]],
+    view: Optional[TokenView] = None,
 ) -> Optional[MeasurementSnapshot]:
     """The batch-shaped snapshot of the windows' current knowledge.
 
@@ -277,7 +279,9 @@ def assemble_snapshot(
     usable pairs are disjoint and their union, in sorted pair order, is
     what a single window over the whole stream would hold.  The
     invariants :class:`MeasurementSnapshot` enforces (same pairs both
-    rounds, all baselines reached) hold by construction.
+    rounds, all baselines reached) hold by construction.  ``view`` is
+    the token view the snapshot reads through (the engine's, shared by
+    all its snapshots; a private one when ``None``).
     """
     owned = sorted(
         ((pair, window) for window in windows for pair in window.usable_pairs()),
@@ -289,4 +293,6 @@ def assemble_snapshot(
     for pair, window in owned:
         before.add(window.baseline_for(pair)[1])
         after.add(window.current_for(pair)[1])
-    return MeasurementSnapshot(before=before, after=after, asn_of=asn_of)
+    return MeasurementSnapshot(
+        before=before, after=after, asn_of=asn_of, view=view
+    )

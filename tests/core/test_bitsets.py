@@ -17,7 +17,6 @@ from repro.core.hitting_set import (
     exact_hitting_set,
 )
 from repro.core.linkspace import ip_link, sort_key
-from repro.core.pathset import ProbePath
 
 
 def L(n):  # short link-token factory
@@ -158,13 +157,3 @@ class TestVectorizeGate:
         monkeypatch.setenv("REPRO_NO_VECTORIZE", "1")
         assert not vectorize_enabled()
 
-
-class TestPathMemoization:
-    def test_probe_path_links_cached(self):
-        path = ProbePath(
-            src="10.0.0.1",
-            dst="10.0.0.3",
-            hops=("10.0.0.1", "10.0.0.2", "10.0.0.3"),
-            reached=True,
-        )
-        assert path.links() is path.links()

@@ -10,7 +10,7 @@ from repro.core.linkspace import (
     UhNode,
     ip_link,
 )
-from repro.core.logical import logicalize
+from repro.core.logical import TokenView, logicalize
 from repro.core.pathset import EPOCH_PRE, ProbePath
 
 ASN_OF = {
@@ -128,7 +128,8 @@ class TestInferredGraph:
         p = make_path(
             ["10.0.16.99", "10.0.16.1", "10.0.32.1", "10.0.48.1", "10.0.48.99"]
         )
-        graph = InferredGraph.from_logical_paths([p], ASN_OF)
+        graph = InferredGraph()
+        graph.add_path(p.pair, TokenView(ASN_OF).logical(p))
         assert LogicalLink("10.0.16.1", "10.0.32.1", tag=3) in graph
 
     def test_hitting_sets_align_with_tokens(self):
