@@ -13,13 +13,19 @@ Regenerate after an *intentional* change of results::
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
 import pytest
 
+from repro.diagnosers import make_diagnosers
 from repro.experiments.figures import fig6_tomo, fig10_bgpigp
 from repro.experiments.figures.base import FigureConfig, FigureResult
+from repro.experiments.jobs import CoreAsx, ResearchTopoFactory, StubPlacement
+from repro.experiments.report import render_runner_stats
+from repro.experiments.runner import RunnerStats, run_kind_batch
+from repro.faults import FaultConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -49,8 +55,11 @@ def stable_lines(result: FigureResult) -> str:
 
 
 def check_golden(result: FigureResult) -> None:
-    golden_path = GOLDEN_DIR / f"{result.figure_id}.txt"
-    text = stable_lines(result)
+    check_golden_text(result.figure_id, stable_lines(result))
+
+
+def check_golden_text(name: str, text: str) -> None:
+    golden_path = GOLDEN_DIR / f"{name}.txt"
     if os.environ.get("REPRO_UPDATE_GOLDENS"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         golden_path.write_text(text)
@@ -60,7 +69,7 @@ def check_golden(result: FigureResult) -> None:
         "REPRO_UPDATE_GOLDENS=1"
     )
     assert text == golden_path.read_text(), (
-        f"{result.figure_id} drifted from its golden — if the change is "
+        f"{name} drifted from its golden — if the change is "
         "intentional, regenerate with REPRO_UPDATE_GOLDENS=1"
     )
 
@@ -83,3 +92,63 @@ class TestGoldenFigures:
     def test_fig10_matches_golden(self, monkeypatch, no_vectorize):
         monkeypatch.setenv("REPRO_NO_VECTORIZE", no_vectorize)
         check_golden(fig10_bgpigp.run(SMOKE_CONFIG))
+
+
+# -- runner-stats block -------------------------------------------------
+
+#: Every omission *and* corruption mode at once: one batch lights the
+#: faults, looking-glass, control-feed, corruption, validation,
+#: consistency and ensemble lines of the ``-- runner stats`` block.
+FAULTS_AND_CORRUPTION = dataclasses.replace(
+    FaultConfig.uniform(0.3),
+    **{name: 0.3 for name in FaultConfig._CORRUPTION_FIELDS},
+)
+
+STATS_BATCH = dict(
+    topo_factory=ResearchTopoFactory(topo_seed=7, n_tier2=4, n_stub=16),
+    placement_fn=StubPlacement(6),
+    kinds=("link-1",),
+    placements=1,
+    failures_per_placement=4,
+    seed=0,
+    asx_selector=CoreAsx(),
+    blocked_fraction=0.3,
+    lg_fraction=1.0,
+)
+
+
+def stable_stats_lines(stats: RunnerStats) -> str:
+    """The ``-- runner stats`` block without its wall-clock lines."""
+    lines = [
+        line
+        for line in render_runner_stats(stats).splitlines()
+        if not line.lstrip().startswith(("time:", "wall="))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestGoldenRunnerStats:
+    def test_faults_corruption_quarantine_block(self):
+        stats = RunnerStats()
+        run_kind_batch(
+            **STATS_BATCH,
+            diagnosers=make_diagnosers(
+                ["tomo", "nd-edge", "nd-bgpigp", "nd-lg", "ensemble"]
+            ),
+            fault_config=FAULTS_AND_CORRUPTION,
+            validation="quarantine",
+            stats=stats,
+        )
+        check_golden_text("runner_stats_quarantine", stable_stats_lines(stats))
+
+    def test_journalled_resume_block(self, tmp_path):
+        batch = dict(
+            STATS_BATCH,
+            diagnosers=make_diagnosers(["tomo", "nd-edge"]),
+            fault_config=FaultConfig.uniform(0.3),
+            journal=tmp_path / "batch.journal",
+        )
+        run_kind_batch(**batch)
+        stats = RunnerStats()
+        run_kind_batch(**batch, resume=True, stats=stats)
+        check_golden_text("runner_stats_resume", stable_stats_lines(stats))
