@@ -10,7 +10,7 @@ def test_degradation_curves(benchmark, bench_config, record_figure):
     record_figure(result)
     stats = result.runner_stats
     # The sweep injected real faults and every run still completed.
-    assert stats.any_faults_seen()
+    assert stats.degradation.any_faults_seen()
     assert stats.records > 0
     for label in ("tomo", "nd-edge", "nd-bgpigp", "nd-lg"):
         sens = dict(result.series_by_name(f"{label}/sensitivity").points)

@@ -29,8 +29,9 @@ Examples::
     # health timeline, bad intervals and blocked-vs-failed verdicts
     python -m repro monitor --scenario mixed-ops --ticks 2000 --seed 7
 
-    # Regenerate evaluation figures (delegates to repro.experiments)
-    python -m repro.experiments --figure 6
+    # Regenerate evaluation figures (one, or 'all'; --paper-scale for
+    # the paper's 10 placements x 100 failures)
+    python -m repro figures --figure 6
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     print(f"scenario: {scenario.event.describe(session.net)}")
 
     diagnosers = make_diagnosers(
-        # nd-lg needs blocked ASes + LGs; see the figures CLI
+        # nd-lg needs blocked ASes + LGs; see the figures subcommand
         [name for name in args.algorithms if name != "nd-lg"]
     )
     record = run_scenario(
@@ -197,6 +198,55 @@ def _fault_rate(text: str) -> float:
             f"fault rate must be within [0, 1], got {value}"
         )
     return value
+
+
+def _figure_id(text: str) -> str:
+    """argparse type for --figure: a registered figure id or ``all``."""
+    from repro.experiments.figures import FIGURES
+
+    if text != "all" and text not in FIGURES:
+        raise argparse.ArgumentTypeError(
+            f"unknown figure {text!r}; choose from {sorted(FIGURES)}"
+        )
+    return text
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    import time
+
+    from repro.experiments.figures import FIGURES, FigureConfig, figure_sort_key
+    from repro.serialize import figure_result_to_dict
+
+    config = FigureConfig(
+        seed=args.seed,
+        topo_seed=args.topo_seed,
+        placements=10 if args.paper_scale else args.placements,
+        failures_per_placement=100 if args.paper_scale else args.failures,
+        n_sensors=args.sensors,
+        workers=args.workers,
+    )
+    wanted = (
+        sorted(FIGURES, key=figure_sort_key)
+        if args.figure == "all"
+        else [args.figure]
+    )
+    for figure_id in wanted:
+        started = time.time()
+        result = FIGURES[figure_id](config)
+        print(result.render())
+        if args.json_out:
+            out_dir = Path(args.json_out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            out_path = out_dir / f"{result.figure_id}.json"
+            out_path.write_text(
+                json.dumps(figure_result_to_dict(result), indent=1)
+            )
+            print(f"[series written to {out_path}]")
+        print(
+            f"\n[figure {figure_id} regenerated in "
+            f"{time.time() - started:.1f}s]\n"
+        )
+    return 0
 
 
 def _cmd_degradation(args: argparse.Namespace) -> int:
@@ -565,6 +615,48 @@ def main(argv=None) -> int:
         help="worker processes, one size point each (0 = all cores)",
     )
     scaling.set_defaults(func=_cmd_scaling)
+
+    figures = sub.add_parser(
+        "figures",
+        help="regenerate the NetDiagnoser evaluation figures (5-12)",
+    )
+    figures.add_argument(
+        "--figure",
+        type=_figure_id,
+        default="all",
+        help="figure id (5..12), 'degradation', or 'all'",
+    )
+    figures.add_argument("--seed", type=int, default=0, help="experiment seed")
+    figures.add_argument(
+        "--topo-seed", type=int, default=100, help="topology generator seed"
+    )
+    figures.add_argument(
+        "--placements", type=int, default=3, help="sensor placements per figure"
+    )
+    figures.add_argument(
+        "--failures", type=int, default=10, help="failures per placement"
+    )
+    figures.add_argument(
+        "--sensors", type=int, default=10, help="number of sensors (N)"
+    )
+    figures.add_argument(
+        "--paper-scale",
+        action="store_true",
+        help="use the paper's 10 placements x 100 failures (slow)",
+    )
+    figures.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=1,
+        help="worker processes per batch (0 = all cores, 1 = serial); "
+        "results are identical to a serial run",
+    )
+    figures.add_argument(
+        "--json-out",
+        default=None,
+        help="directory to additionally write <figure>.json series files to",
+    )
+    figures.set_defaults(func=_cmd_figures)
 
     degradation = sub.add_parser(
         "degradation",

@@ -1,7 +1,7 @@
 """Per-figure harnesses: one module per evaluation figure of the paper.
 
 Each module exposes ``run(config) -> FigureResult``; the registry below
-maps figure ids to the runners (used by ``python -m repro.experiments``
+maps figure ids to the runners (used by ``python -m repro figures``
 and the benchmark suite).
 """
 

@@ -25,7 +25,7 @@ class FigureConfig:
     The paper uses 10 placements × 100 failures; the defaults here are
     deliberately small so benches finish in seconds.  Paper scale:
     ``FigureConfig(placements=10, failures_per_placement=100)`` (also
-    reachable via ``python -m repro.experiments --paper-scale``).
+    reachable via ``python -m repro figures --paper-scale``).
 
     ``workers`` fans each batch's placements out over that many processes
     (``0`` = every core); results are bit-identical to ``workers=1``.

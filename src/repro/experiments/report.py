@@ -82,15 +82,18 @@ def render_runner_stats(stats: "RunnerStats") -> str:
 
     cpu_seconds = stats.setup_seconds + stats.scenario_seconds
     speedup = ratio(cpu_seconds, stats.wall_seconds)
+    cache = stats.cache
     trace_rate = ratio(
-        stats.trace_cache_hits, stats.trace_cache_hits + stats.trace_cache_misses
+        cache["trace_cache_hits"],
+        cache["trace_cache_hits"] + cache["trace_cache_misses"],
     )
     routing_rate = ratio(
-        stats.routing_cache_hits,
-        stats.routing_cache_hits + stats.routing_cache_misses,
+        cache["routing_cache_hits"],
+        cache["routing_cache_hits"] + cache["routing_cache_misses"],
     )
     reuse_rate = ratio(
-        stats.prefixes_reused, stats.prefixes_reused + stats.prefixes_converged
+        cache["prefixes_reused"],
+        cache["prefixes_reused"] + cache["prefixes_converged"],
     )
     lines = [
         "-- runner stats",
@@ -99,74 +102,76 @@ def render_runner_stats(stats: "RunnerStats") -> str:
         f"   scenarios: sampled={stats.scenarios_sampled}  "
         f"rejected={stats.scenarios_rejected}  "
         f"budget-exhaustions={stats.budget_exhaustions}",
-        f"   trace cache: entries={stats.trace_cache_entries}  "
-        f"hits={stats.trace_cache_hits}  misses={stats.trace_cache_misses}  "
-        f"evictions={stats.trace_cache_evictions}  "
+        f"   trace cache: entries={cache['trace_cache_entries']}  "
+        f"hits={cache['trace_cache_hits']}  "
+        f"misses={cache['trace_cache_misses']}  "
+        f"evictions={cache['trace_cache_evictions']}  "
         f"(hit-rate={trace_rate:.2f})",
-        f"   routing cache: entries={stats.routing_cache_entries}  "
-        f"hits={stats.routing_cache_hits}  "
-        f"misses={stats.routing_cache_misses}  "
-        f"evictions={stats.routing_cache_evictions}  "
+        f"   routing cache: entries={cache['routing_cache_entries']}  "
+        f"hits={cache['routing_cache_hits']}  "
+        f"misses={cache['routing_cache_misses']}  "
+        f"evictions={cache['routing_cache_evictions']}  "
         f"(hit-rate={routing_rate:.2f})",
-        f"   convergence: full={stats.full_converges}  "
-        f"incremental={stats.incremental_converges}  "
-        f"prefixes converged={stats.prefixes_converged}  "
-        f"reused={stats.prefixes_reused}  (reuse-rate={reuse_rate:.2f})",
-        f"   rib sharing: owned={stats.rib_prefixes_owned}  "
-        f"shared={stats.rib_prefixes_shared}  "
-        f"cow-copies={stats.rib_cow_copies}",
+        f"   convergence: full={cache['full_converges']}  "
+        f"incremental={cache['incremental_converges']}  "
+        f"prefixes converged={cache['prefixes_converged']}  "
+        f"reused={cache['prefixes_reused']}  (reuse-rate={reuse_rate:.2f})",
+        f"   rib sharing: owned={cache['rib_prefixes_owned']}  "
+        f"shared={cache['rib_prefixes_shared']}  "
+        f"cow-copies={cache['rib_cow_copies']}",
         f"   time: setup-cpu={stats.setup_seconds:.2f}s  "
         f"scenarios-cpu={stats.scenario_seconds:.2f}s  "
         f"(aggregate CPU seconds across {stats.workers} worker(s))",
         f"   wall={stats.wall_seconds:.2f}s  (cpu/wall={speedup:.2f}x)",
     ]
-    if stats.any_faults_seen():
+    report = stats.degradation
+    if report.any_faults_seen():
         lines[-1:-1] = [
-            f"   faults: probes dropped={stats.probes_dropped}  "
-            f"truncated={stats.probes_truncated}  "
-            f"hops anonymized={stats.hops_anonymized}  "
-            f"sensors down={stats.sensors_down}  "
-            f"pairs discarded={stats.pairs_discarded}  "
-            f"failures masked={stats.masked_failures}",
-            f"   looking glass: failures={stats.lg_failures}  "
-            f"retries={stats.lg_retries}  exhausted={stats.lg_exhausted}  "
-            f"rate-limited={stats.lg_rate_limited}",
-            f"   control feed: outages={stats.feed_outages}  "
-            f"withdrawals lost={stats.withdrawals_lost}  "
-            f"delayed={stats.withdrawals_delayed}  "
-            f"igp lost={stats.igp_lost}  delayed={stats.igp_delayed}",
-            f"   degraded diagnoses={stats.degraded_diagnoses}",
+            f"   faults: probes dropped={report.probes_dropped}  "
+            f"truncated={report.probes_truncated}  "
+            f"hops anonymized={report.hops_anonymized}  "
+            f"sensors down={report.sensors_down}  "
+            f"pairs discarded={report.pairs_discarded}  "
+            f"failures masked={report.masked_failures}",
+            f"   looking glass: failures={report.lg_failures}  "
+            f"retries={report.lg_retries}  exhausted={report.lg_exhausted}  "
+            f"rate-limited={report.lg_rate_limited}",
+            f"   control feed: outages={report.feed_outages}  "
+            f"withdrawals lost={report.withdrawals_lost}  "
+            f"delayed={report.withdrawals_delayed}  "
+            f"igp lost={report.igp_lost}  delayed={report.igp_delayed}",
+            f"   degraded diagnoses={report.degraded_diagnoses}",
         ]
-    if stats.any_corruption_seen():
+    if report.any_corruption_seen():
         lines[-1:-1] = [
-            f"   corruption: hops forged={stats.hops_forged}  "
-            f"duplicated={stats.hops_duplicated}  "
-            f"loops injected={stats.loops_injected}  "
-            f"reach bits flipped={stats.reach_bits_flipped}  "
-            f"stale replays={stats.stale_replays}",
-            f"   corrupted feeds: duplicated={stats.feed_messages_duplicated}  "
-            f"misordered={stats.feed_messages_misordered}  "
-            f"lg stale answers={stats.lg_stale_answers}",
+            f"   corruption: hops forged={report.hops_forged}  "
+            f"duplicated={report.hops_duplicated}  "
+            f"loops injected={report.loops_injected}  "
+            f"reach bits flipped={report.reach_bits_flipped}  "
+            f"stale replays={report.stale_replays}",
+            f"   corrupted feeds: duplicated={report.feed_messages_duplicated}  "
+            f"misordered={report.feed_messages_misordered}  "
+            f"lg stale answers={report.lg_stale_answers}",
         ]
-    if stats.any_ensemble_seen():
-        disagreement = stats.ensemble_disagreement()
+    if report.any_ensemble_seen():
+        disagreement = report.ensemble_disagreement()
         lines[-1:-1] = [
-            f"   ensemble: agree={stats.ensemble_agreements}  "
-            f"partial={stats.ensemble_partials}  "
-            f"conflict={stats.ensemble_conflicts}  "
+            f"   ensemble: agree={report.ensemble_agreements}  "
+            f"partial={report.ensemble_partials}  "
+            f"conflict={report.ensemble_conflicts}  "
             f"(agreement-rate={disagreement.agreement_rate():.2f})",
         ]
-    if stats.any_validation_seen():
+    if report.any_validation_seen():
         lines[-1:-1] = [
-            f"   validation: violations={stats.invariant_violations}  "
-            f"traces repaired={stats.traces_repaired}  "
-            f"quarantined={stats.traces_quarantined}  "
-            f"stale rounds dropped={stats.stale_rounds_dropped}",
-            f"   validated feeds: repaired={stats.feed_messages_repaired}  "
-            f"quarantined={stats.feed_messages_quarantined}  "
-            f"lg paths quarantined={stats.lg_paths_quarantined}",
-            f"   consistency: sensors excluded={stats.sensors_excluded}  "
-            f"re-diagnoses={stats.rediagnoses}",
+            f"   validation: violations={report.invariant_violations}  "
+            f"traces repaired={report.traces_repaired}  "
+            f"quarantined={report.traces_quarantined}  "
+            f"stale rounds dropped={report.stale_rounds_dropped}",
+            f"   validated feeds: repaired={report.feed_messages_repaired}  "
+            f"quarantined={report.feed_messages_quarantined}  "
+            f"lg paths quarantined={report.lg_paths_quarantined}",
+            f"   consistency: sensors excluded={report.sensors_excluded}  "
+            f"re-diagnoses={report.rediagnoses}",
         ]
     resilience = (
         stats.jobs_timed_out,
@@ -183,21 +188,6 @@ def render_runner_stats(stats: "RunnerStats") -> str:
             f"failed={stats.jobs_failed}  "
             f"serial fallbacks={stats.serial_fallbacks}  "
             f"resumed={stats.placements_resumed}"
-        )
-    breakers = (
-        stats.breaker_opened,
-        stats.breaker_reclosed,
-        stats.breaker_short_circuits,
-        stats.breaker_probes,
-        stats.dead_lettered,
-    )
-    if any(breakers):
-        lines.append(
-            f"   breakers: opened={stats.breaker_opened}  "
-            f"reclosed={stats.breaker_reclosed}  "
-            f"short-circuited={stats.breaker_short_circuits}  "
-            f"probes={stats.breaker_probes}  "
-            f"dead-lettered={stats.dead_lettered}"
         )
     return "\n".join(lines)
 

@@ -4,15 +4,18 @@ Graceful degradation is only trustworthy when it is *legible*: a run
 that silently lost half its probes reads like a bad algorithm instead of
 a bad measurement plane.  Every faulted measurement step increments a
 counter here; the report travels on the
-:class:`~repro.experiments.runner.RunRecord` and is folded into the
-batch-level :class:`~repro.experiments.runner.RunnerStats`, whose
-rendering surfaces the totals next to the accuracy numbers.
+:class:`~repro.experiments.runner.RunRecord` and is merged, unchanged in
+shape, into ``PlacementStats.degradation`` and then into the batch-level
+``RunnerStats.degradation``, whose rendering surfaces the totals next to
+the accuracy numbers.  The ``int`` fields below are the only declaration
+of these counters: ``merge``/``as_dict`` and the ``any_*_seen``
+predicates all derive from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from typing import ClassVar, Dict, List, Tuple
 
 __all__ = ["DegradationReport"]
 
@@ -69,44 +72,9 @@ class DegradationReport:
     diagnoser_errors: Dict[str, int] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
-    _COUNTER_FIELDS = (
-        "probes_dropped",
-        "probes_truncated",
-        "hops_anonymized",
-        "sensors_down",
-        "pairs_discarded",
-        "masked_failures",
-        "lg_failures",
-        "lg_retries",
-        "lg_exhausted",
-        "lg_rate_limited",
-        "withdrawals_lost",
-        "withdrawals_delayed",
-        "igp_lost",
-        "igp_delayed",
-        "feed_outages",
-        "degraded_diagnoses",
-        "hops_forged",
-        "hops_duplicated",
-        "loops_injected",
-        "reach_bits_flipped",
-        "stale_replays",
-        "feed_messages_duplicated",
-        "feed_messages_misordered",
-        "lg_stale_answers",
-        "invariant_violations",
-        "traces_repaired",
-        "traces_quarantined",
-        "stale_rounds_dropped",
-        "feed_messages_repaired",
-        "feed_messages_quarantined",
-        "lg_paths_quarantined",
-        "sensors_excluded",
-        "rediagnoses",
-        "ensemble_agreements",
-        "ensemble_partials",
-        "ensemble_conflicts",
-    )
+    # Filled in below the class from the ``int`` fields, in declaration
+    # order: the counters merge() sums and as_dict() snapshots.
+    _COUNTER_FIELDS: ClassVar[Tuple[str, ...]] = ()
 
     # Ensemble verdict tallies ride the same merge/as_dict machinery but
     # are *observations*, not degradation: an agreeing ensemble must not
@@ -117,13 +85,62 @@ class DegradationReport:
         "ensemble_conflicts",
     )
 
+    _CORRUPTION_FIELDS = (
+        "hops_forged",
+        "hops_duplicated",
+        "loops_injected",
+        "reach_bits_flipped",
+        "stale_replays",
+        "feed_messages_duplicated",
+        "feed_messages_misordered",
+        "lg_stale_answers",
+    )
+
+    _VALIDATION_FIELDS = (
+        "invariant_violations",
+        "traces_repaired",
+        "traces_quarantined",
+        "stale_rounds_dropped",
+        "feed_messages_repaired",
+        "feed_messages_quarantined",
+        "lg_paths_quarantined",
+        "sensors_excluded",
+        "rediagnoses",
+    )
+
     def is_degraded(self) -> bool:
         """True when any fault actually fired on this run."""
+        return self.any_faults_seen() or bool(self.diagnoser_errors)
+
+    def any_faults_seen(self) -> bool:
+        """True when any counter other than an ensemble tally is non-zero."""
         return any(
             getattr(self, name)
             for name in self._COUNTER_FIELDS
             if name not in self._ENSEMBLE_FIELDS
-        ) or bool(self.diagnoser_errors)
+        )
+
+    def any_ensemble_seen(self) -> bool:
+        """True when any ensemble diagnosis graded its members."""
+        return any(getattr(self, name) for name in self._ENSEMBLE_FIELDS)
+
+    def any_corruption_seen(self) -> bool:
+        """True when any corruption-injection counter is non-zero."""
+        return any(getattr(self, name) for name in self._CORRUPTION_FIELDS)
+
+    def any_validation_seen(self) -> bool:
+        """True when input screening detected or acted on anything."""
+        return any(getattr(self, name) for name in self._VALIDATION_FIELDS)
+
+    def ensemble_disagreement(self):
+        """The typed agree/partial/conflict tally of these verdicts."""
+        from repro.empathy.ensemble import EnsembleDisagreement
+
+        return EnsembleDisagreement(
+            agree=self.ensemble_agreements,
+            partial=self.ensemble_partials,
+            conflict=self.ensemble_conflicts,
+        )
 
     def record_ensemble_verdict(self, verdict: str) -> None:
         """One ensemble diagnosis graded its members' agreement."""
@@ -160,5 +177,10 @@ class DegradationReport:
             self.note(message)
 
     def as_dict(self) -> Dict[str, int]:
-        """Flat counter snapshot (the fields RunnerStats accumulates)."""
+        """Flat counter snapshot, in declaration order."""
         return {name: getattr(self, name) for name in self._COUNTER_FIELDS}
+
+
+DegradationReport._COUNTER_FIELDS = tuple(
+    f.name for f in fields(DegradationReport) if f.type in (int, "int")
+)

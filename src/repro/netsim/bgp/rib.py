@@ -21,7 +21,7 @@ table starts from a baseline, :meth:`CowRibTable.share` aliases the
 baseline's per-prefix dict, and :meth:`CowRibTable.write` records a
 copy-on-write divergence for a re-converged prefix.  The resulting
 :class:`RibSharingStats` counters are surfaced through
-``Simulator.cache_stats()`` and ``RunnerStats``.
+``Simulator.cache_stats()`` and ``RunnerStats.cache``.
 """
 
 from __future__ import annotations

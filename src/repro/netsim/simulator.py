@@ -150,8 +150,11 @@ class Simulator:
 
         Keys are prefixed ``trace_cache_*`` / ``routing_cache_*`` plus the
         engine's :class:`~repro.netsim.bgp.engine.ConvergenceCounters`
-        fields — the exact numbers
-        :class:`~repro.experiments.runner.PlacementStats` records.
+        fields and the ``rib_*`` sharing counters.  This method is the
+        only declaration of those names: a placement keeps the snapshot
+        as ``PlacementStats.cache`` and a batch sums the snapshots key by
+        key into ``RunnerStats.cache`` (a ``collections.Counter``), which
+        ``-- runner stats`` renders.
         """
         stats = {
             f"trace_cache_{key}": value

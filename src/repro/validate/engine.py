@@ -19,7 +19,8 @@ Every decision is counted on the validator's
 :class:`~repro.validate.report.ValidationReport` and, when one is
 attached, eagerly on the run's
 :class:`~repro.faults.DegradationReport` — the totals travel the
-existing RunnerStats path and surface in ``-- runner stats``.
+batch path (``RunnerStats.degradation``) and surface in
+``-- runner stats``.
 """
 
 from __future__ import annotations

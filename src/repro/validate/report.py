@@ -2,13 +2,15 @@
 
 Mirrors the design of :class:`~repro.faults.DegradationReport`: screening
 is only trustworthy when it is legible.  The report keeps the full
-violation list plus per-invariant fixup/quarantine counters; the
-:class:`~repro.validate.engine.Validator` additionally mirrors the
-totals onto the run's degradation report as it screens, so they travel
-the existing RunRecord → RunnerStats → ``-- runner stats`` path
-unchanged.  ``traces_quarantined`` and ``stale_rounds_dropped`` are
-disjoint: a stale-epoch record counts only in the latter, so summed
-counters account for each dropped record exactly once.
+violation list plus per-invariant fixup/quarantine counters for one
+run; the :class:`~repro.validate.engine.Validator` additionally adds
+the totals onto the run's degradation report as it screens, and that
+report, not this one, is what batch accounting merges
+(``PlacementStats.degradation`` → ``RunnerStats.degradation`` →
+``-- runner stats``).  ``traces_quarantined`` and
+``stale_rounds_dropped`` are disjoint: a stale-epoch record counts only
+in the latter, so summed counters account for each dropped record
+exactly once.
 """
 
 from __future__ import annotations
@@ -58,17 +60,3 @@ class ValidationReport:
     def clean(self) -> bool:
         """True when screening found nothing wrong."""
         return not self.violations
-
-    def merge(self, other: "ValidationReport") -> None:
-        """Fold another report's findings into this one."""
-        self.violations.extend(other.violations)
-        for invariant, count in other.repairs.items():
-            self.record_repair(invariant, count)
-        for invariant, count in other.quarantines.items():
-            self.record_quarantine(invariant, count)
-        self.traces_repaired += other.traces_repaired
-        self.traces_quarantined += other.traces_quarantined
-        self.stale_rounds_dropped += other.stale_rounds_dropped
-        self.feed_messages_repaired += other.feed_messages_repaired
-        self.feed_messages_quarantined += other.feed_messages_quarantined
-        self.lg_paths_quarantined += other.lg_paths_quarantined

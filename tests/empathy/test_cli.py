@@ -4,7 +4,6 @@ exit-code contract on both entry points."""
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.experiments.__main__ import main as figures_main
 
 CROSSVAL_FAST = [
     "crossval",
@@ -69,7 +68,7 @@ class TestEmpathyErrorExitCode:
             raise EmpathyError("ensemble misconfigured")
 
         monkeypatch.setitem(FIGURES, "5", explode)
-        code = figures_main(["--figure", "5"])
+        code = repro_main(["figures", "--figure", "5"])
         assert code == 2
         captured = capsys.readouterr()
         assert "error: ensemble misconfigured" in captured.err

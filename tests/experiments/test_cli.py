@@ -1,11 +1,10 @@
-"""Tests for the two command-line entry points."""
+"""Tests for the command-line entry point and its subcommands."""
 
 import json
 
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.experiments.__main__ import main as figures_main
 
 
 class TestTopLevelCli:
@@ -59,8 +58,8 @@ class TestTopLevelCli:
 
 class TestFiguresCli:
     def test_single_figure_renders(self, capsys):
-        code = figures_main(
-            ["--figure", "5", "--placements", "1", "--failures", "2"]
+        code = repro_main(
+            ["figures", "--figure", "5", "--placements", "1", "--failures", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -68,7 +67,7 @@ class TestFiguresCli:
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
-            figures_main(["--figure", "99"])
+            repro_main(["figures", "--figure", "99"])
 
 
 class TestReplayCli:
@@ -110,8 +109,9 @@ class TestFiguresJsonExport:
     def test_json_out_writes_series_file(self, tmp_path, capsys):
         import json
 
-        code = figures_main(
+        code = repro_main(
             [
+                "figures",
                 "--figure",
                 "5",
                 "--placements",
@@ -157,8 +157,8 @@ class TestCorruptionCli:
 
 
 class TestTypedErrorsExitCleanly:
-    """Both entry points catch the typed pipeline errors: one line on
-    stderr, exit code 2, no traceback."""
+    """Every subcommand, figure runs included, catches the typed pipeline
+    errors: one line on stderr, exit code 2, no traceback."""
 
     @pytest.mark.parametrize(
         "error_type", ["TopologyError", "ControlPlaneFeedError", "ValidationError"]
@@ -190,11 +190,27 @@ class TestTypedErrorsExitCleanly:
             raise errors.ValidationError("feed-order", "igp message #3")
 
         monkeypatch.setitem(FIGURES, "5", explode)
-        code = figures_main(["--figure", "5"])
+        code = repro_main(["figures", "--figure", "5"])
         assert code == 2
         captured = capsys.readouterr()
         assert "error: " in captured.err
         assert "feed-order" in captured.err
+
+    @pytest.mark.parametrize("error_type", ["MonitorError", "FaultInjectionError"])
+    def test_figures_share_the_top_level_handler(
+        self, error_type, monkeypatch, capsys
+    ):
+        from repro import errors
+        from repro.experiments.figures import FIGURES
+
+        def explode(config):
+            raise getattr(errors, error_type)("injected for the test")
+
+        monkeypatch.setitem(FIGURES, "5", explode)
+        code = repro_main(["figures", "--figure", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: injected for the test\n"
 
     def test_strict_validation_error_is_one_line(self, monkeypatch, capsys):
         """The rendered message names invariant and record, on one line."""

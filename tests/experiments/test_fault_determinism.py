@@ -80,11 +80,11 @@ class TestFaultSchedulesAreDeterministic:
         serial_stats, parallel_stats = RunnerStats(), RunnerStats()
         run_kind_batch(**FAULTY_BATCH, workers=1, stats=serial_stats)
         run_kind_batch(**FAULTY_BATCH, workers=3, stats=parallel_stats)
-        assert serial_stats.any_faults_seen()
+        assert serial_stats.degradation.any_faults_seen()
         for field in DegradationReport._COUNTER_FIELDS:
-            assert getattr(serial_stats, field) == getattr(
-                parallel_stats, field
-            ), f"RunnerStats.{field} differs between serial and parallel"
+            assert getattr(serial_stats.degradation, field) == getattr(
+                parallel_stats.degradation, field
+            ), f"degradation.{field} differs between serial and parallel"
 
     def test_different_seed_changes_the_schedule(self, serial_records):
         batch = dict(FAULTY_BATCH)
@@ -142,9 +142,9 @@ class TestCorruptionSchedulesAreDeterministic:
             **CORRUPT_BATCH, workers=3, stats=parallel_stats
         )
         assert serial == parallel
-        assert serial_stats.any_corruption_seen()
-        assert serial_stats.any_validation_seen()
+        assert serial_stats.degradation.any_corruption_seen()
+        assert serial_stats.degradation.any_validation_seen()
         for field in DegradationReport._COUNTER_FIELDS:
-            assert getattr(serial_stats, field) == getattr(
-                parallel_stats, field
-            ), f"RunnerStats.{field} differs between serial and parallel"
+            assert getattr(serial_stats.degradation, field) == getattr(
+                parallel_stats.degradation, field
+            ), f"degradation.{field} differs between serial and parallel"

@@ -98,12 +98,15 @@ class TestParallelEquivalence:
             "scenarios_sampled",
             "scenarios_rejected",
             "budget_exhaustions",
-            "trace_cache_entries",
-            "routing_cache_entries",
         ):
             assert getattr(serial_stats, field) == getattr(
                 parallel_stats, field
             ), f"RunnerStats.{field} differs between serial and parallel"
+        for key in ("trace_cache_entries", "routing_cache_entries"):
+            assert serial_stats.cache[key] == parallel_stats.cache[key], (
+                f"RunnerStats.cache[{key!r}] differs between serial and "
+                "parallel"
+            )
         assert parallel_stats.workers == 3
         assert len(parallel_stats.per_placement) == SMALL_BATCH["placements"]
 

@@ -1,5 +1,7 @@
 """Unit tests for the text/ASCII rendering of figure results."""
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments.figures.base import FigureConfig, FigureResult, Series
@@ -91,18 +93,20 @@ class TestRenderRunnerStats:
             records=40,
             scenarios_sampled=50,
             scenarios_rejected=10,
-            trace_cache_entries=100,
-            trace_cache_hits=75,
-            trace_cache_misses=25,
-            trace_cache_evictions=5,
-            routing_cache_entries=20,
-            routing_cache_hits=30,
-            routing_cache_misses=10,
-            routing_cache_evictions=2,
-            full_converges=4,
-            incremental_converges=36,
-            prefixes_converged=120,
-            prefixes_reused=280,
+            cache=Counter(
+                trace_cache_entries=100,
+                trace_cache_hits=75,
+                trace_cache_misses=25,
+                trace_cache_evictions=5,
+                routing_cache_entries=20,
+                routing_cache_hits=30,
+                routing_cache_misses=10,
+                routing_cache_evictions=2,
+                full_converges=4,
+                incremental_converges=36,
+                prefixes_converged=120,
+                prefixes_reused=280,
+            ),
             setup_seconds=4.0,
             scenario_seconds=8.0,
             wall_seconds=6.0,

@@ -19,13 +19,14 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.diagnoser import NetDiagnoser
 from repro.errors import ReproError
 from repro.experiments.jobs import CoreAsx, ResearchTopoFactory, StubPlacement
-from repro.experiments.journal import RunJournal
+from repro.experiments.journal import RunJournal, append_pickle_record
 from repro.experiments.runner import (
     RunnerStats,
     build_placement_jobs,
@@ -302,6 +303,44 @@ class TestJournalAndResume:
                 workers=1,
                 journal=journal,
                 resume=True,
+            )
+
+    def test_journal_with_the_old_placement_stats_shape_refused(
+        self, tmp_path
+    ):
+        # A batch journal written while PlacementStats still mirrored
+        # every counter as its own field: the same format tag, and the
+        # fingerprint run_kind_batch built for this batch back then.
+        journal = tmp_path / "stale.journal"
+        old_fingerprint = {
+            "seed": 0,
+            "placements": 3,
+            "failures_per_placement": 2,
+            "kinds": ("link-1",),
+            "diagnosers": (("tomo", "tomo"), ("nd-edge", "nd-edge")),
+            "blocked_fraction": 0.0,
+            "lg_fraction": None,
+            "intra_failures_only": False,
+            "fault_config": None,
+            "validation": None,
+        }
+        old_result = SimpleNamespace(
+            placement_index=0,
+            records={"link-1": []},
+            stats=SimpleNamespace(placement_index=0, records=0),
+        )
+        append_pickle_record(
+            journal,
+            old_result,
+            {"format": "repro-run-journal-v1", "fingerprint": old_fingerprint},
+        )
+        with pytest.raises(ReproError):
+            run_kind_batch(
+                **_batch(_FACTORY),
+                workers=1,
+                journal=journal,
+                resume=True,
+                stats=RunnerStats(),
             )
 
     def test_journal_object_with_custom_fingerprint(self, tmp_path, clean_records):

@@ -6,9 +6,11 @@ import pytest
 
 from repro.core.diagnoser import NetDiagnoser
 from repro.errors import ReproError
+from repro.experiments.jobs import ResearchTopoFactory, StubPlacement
 from repro.experiments.runner import (
     PlacementStats,
     RunnerStats,
+    build_placement_jobs,
     choose_blocked_ases,
     covered_ases,
     ground_truth_ases,
@@ -148,20 +150,27 @@ class TestStats:
 
 
 class TestStatsAccounting:
-    def test_record_cache_stats_copies_known_keys_only(self):
-        stats = PlacementStats(placement_index=0)
-        stats.record_cache_stats(
-            {
-                "trace_cache_hits": 7,
-                "routing_cache_evictions": 2,
-                "prefixes_reused": 40,
-                "not_a_field": 99,
-            }
-        )
-        assert stats.trace_cache_hits == 7
-        assert stats.routing_cache_evictions == 2
-        assert stats.prefixes_reused == 40
-        assert not hasattr(stats, "not_a_field")
+    def test_placement_keeps_cache_stats_snapshot(self):
+        job = build_placement_jobs(
+            topo_factory=ResearchTopoFactory(topo_seed=7, n_tier2=4, n_stub=16),
+            placement_fn=StubPlacement(5),
+            kinds=("link-1",),
+            diagnosers={"tomo": NetDiagnoser("tomo")},
+            placements=1,
+            failures_per_placement=1,
+            seed=0,
+        )[0]
+        stats = job.run().stats
+        # The placement keeps the session's cache_stats() snapshot as is:
+        # the cache and convergence counter names live in the simulator.
+        assert {
+            "trace_cache_hits",
+            "routing_cache_evictions",
+            "prefixes_reused",
+        } <= set(stats.cache)
+        assert stats.cache["trace_cache_misses"] > 0
+        assert all(isinstance(value, int) for value in stats.cache.values())
+        assert not hasattr(stats, "trace_cache_hits")
 
     def test_absorb_sums_cache_and_convergence_counters(self):
         total = RunnerStats(workers=2)
@@ -169,26 +178,28 @@ class TestStatsAccounting:
             placement = PlacementStats(
                 placement_index=index,
                 records=5,
-                trace_cache_hits=10,
-                trace_cache_evictions=1,
-                routing_cache_misses=3,
-                full_converges=1,
-                incremental_converges=4,
-                prefixes_converged=20,
-                prefixes_reused=60,
+                cache={
+                    "trace_cache_hits": 10,
+                    "trace_cache_evictions": 1,
+                    "routing_cache_misses": 3,
+                    "full_converges": 1,
+                    "incremental_converges": 4,
+                    "prefixes_converged": 20,
+                    "prefixes_reused": 60,
+                },
                 setup_seconds=1.5,
                 scenario_seconds=2.5,
             )
             total.absorb(placement)
         assert total.placements == 2
         assert total.records == 10
-        assert total.trace_cache_hits == 20
-        assert total.trace_cache_evictions == 2
-        assert total.routing_cache_misses == 6
-        assert total.full_converges == 2
-        assert total.incremental_converges == 8
-        assert total.prefixes_converged == 40
-        assert total.prefixes_reused == 120
+        assert total.cache["trace_cache_hits"] == 20
+        assert total.cache["trace_cache_evictions"] == 2
+        assert total.cache["routing_cache_misses"] == 6
+        assert total.cache["full_converges"] == 2
+        assert total.cache["incremental_converges"] == 8
+        assert total.cache["prefixes_converged"] == 40
+        assert total.cache["prefixes_reused"] == 120
         # Phase times sum across placements: aggregate CPU seconds, while
         # wall_seconds stays whatever the batch caller measured.
         assert total.setup_seconds == 3.0
@@ -228,12 +239,12 @@ class TestEnsembleAccounting:
         report.record_ensemble_verdict("agree")
         report.record_ensemble_verdict("conflict")
         placement = PlacementStats(placement_index=0)
-        placement.record_degradation(report)
+        placement.degradation.merge(report)
         stats = RunnerStats()
         stats.absorb(placement)
-        assert stats.any_ensemble_seen()
-        assert not stats.any_faults_seen()
-        tally = stats.ensemble_disagreement()
+        assert stats.degradation.any_ensemble_seen()
+        assert not stats.degradation.any_faults_seen()
+        tally = stats.degradation.ensemble_disagreement()
         assert tally.as_dict() == {"agree": 1, "partial": 0, "conflict": 1}
         assert tally.agreement_rate() == pytest.approx(0.5)
 
@@ -251,7 +262,7 @@ class TestEnsembleAccounting:
         report = DegradationReport()
         report.record_ensemble_verdict("agree")
         placement = PlacementStats(placement_index=0)
-        placement.record_degradation(report)
+        placement.degradation.merge(report)
         stats.absorb(placement)
         text = render_runner_stats(stats)
         assert "-- runner stats" in text

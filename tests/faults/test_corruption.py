@@ -220,22 +220,23 @@ class TestQuarantineSweepAccounting:
         )
         assert stats.jobs_failed == 0  # zero unhandled exceptions
         assert len(records["link-1"]) == 3
+        report = stats.degradation
         # Every stale replay surfaces as exactly one dropped stale round,
         # and every quarantined record was first counted as a violation.
-        assert stats.stale_rounds_dropped == stats.stale_replays
-        assert stats.lg_paths_quarantined == stats.lg_stale_answers
+        assert report.stale_rounds_dropped == report.stale_replays
+        assert report.lg_paths_quarantined == report.lg_stale_answers
         screened = (
-            stats.traces_repaired
-            + stats.traces_quarantined
-            + stats.stale_rounds_dropped
-            + stats.feed_messages_repaired
-            + stats.feed_messages_quarantined
-            + stats.lg_paths_quarantined
+            report.traces_repaired
+            + report.traces_quarantined
+            + report.stale_rounds_dropped
+            + report.feed_messages_repaired
+            + report.feed_messages_quarantined
+            + report.lg_paths_quarantined
         )
-        if any(getattr(stats, c) for c in INJECTION_COUNTERS):
-            assert stats.invariant_violations > 0
+        if any(getattr(report, c) for c in INJECTION_COUNTERS):
+            assert report.invariant_violations > 0
             assert screened > 0
-        assert stats.traces_repaired == 0  # quarantine never repairs
+        assert report.traces_repaired == 0  # quarantine never repairs
 
 
 class TestTotalCorruptionBestEffort:
