@@ -44,15 +44,7 @@ import sys
 from pathlib import Path
 
 from repro.diagnosers import DIAGNOSER_NAMES, make_diagnoser, make_diagnosers
-from repro.errors import (
-    ControlPlaneFeedError,
-    EmpathyError,
-    FaultInjectionError,
-    MonitorError,
-    StreamError,
-    TopologyError,
-    ValidationError,
-)
+from repro.errors import ReproError
 from repro.experiments.runner import ground_truth_links, make_session, run_scenario
 from repro.experiments.scenarios import SCENARIO_KINDS
 from repro.measurement.collector import collect_control_plane, take_snapshot
@@ -948,18 +940,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ControlPlaneFeedError,
-        EmpathyError,
-        FaultInjectionError,
-        MonitorError,
-        StreamError,
-        TopologyError,
-        ValidationError,
-    ) as error:
+    except ReproError as error:
         # Typed pipeline failures are user-diagnosable (bad inputs, strict
-        # validation, a misconfigured or overflowing stream): one line on
-        # stderr, nonzero exit, no traceback.
+        # validation, a misconfigured or overflowing stream, a journal
+        # from another run): one line on stderr, nonzero exit, no
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

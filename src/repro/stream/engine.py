@@ -217,6 +217,8 @@ class StreamEngine:
     ``shards``, ``tenants``/``tenant_of`` and the supervision
     collaborators (``plan``, ``supervision``, ``checkpoints``,
     ``dead_letters``) shape the pipeline; see the module docstring.
+    A ``degradation`` report, when given, receives every ingestor's
+    screening counts once, when :meth:`close` ends the stream.
     """
 
     def __init__(
@@ -273,7 +275,6 @@ class StreamEngine:
                 window_capacity=window_capacity,
                 open_after=open_after,
                 close_after=close_after,
-                degradation=degradation,
             )
             for index in range(shards)
         ]
@@ -293,8 +294,11 @@ class StreamEngine:
                 asn_of,
                 policy,
                 expected_epochs=(EPOCH_PRE, EPOCH_POST),
-                degradation=degradation,
             )
+        # Every ingestor counts on its own report (a shard's travels in
+        # its checkpoints); close() folds them into this one.
+        self.degradation = degradation
+        self._screening_folded = False
         self.feed = ControlFeed(window_width)
         # Consecutive snapshots hold mostly the same traces: one bounded
         # view expands each distinct trace once per engine.  It is a
@@ -542,6 +546,13 @@ class StreamEngine:
         return reports
 
     def close(self) -> None:
+        """End the stream: fold the screening accounting into the
+        ``degradation`` report (once, however often this is called) and
+        release the worker pool and the dead-letter journal."""
+        if self.degradation is not None and not self._screening_folded:
+            for ingestor in self._ingestors():
+                self.degradation.merge(ingestor.degradation)
+            self._screening_folded = True
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -777,14 +788,18 @@ class StreamEngine:
             )
         return counts
 
-    def ingest_counters(self) -> Dict[str, int]:
-        """Summed screening accounting over every ingestor (each event is
-        screened exactly once somewhere)."""
+    def _ingestors(self) -> List[StreamIngestor]:
+        """Every distinct ingestor (each event is screened exactly once
+        somewhere)."""
         ingestors = [shard.ingestor for shard in self.shards]
         if self.ingestor not in ingestors:
             ingestors.append(self.ingestor)
+        return ingestors
+
+    def ingest_counters(self) -> Dict[str, int]:
+        """Summed screening accounting over every ingestor."""
         totals: Dict[str, int] = {}
-        for ingestor in ingestors:
+        for ingestor in self._ingestors():
             for key, value in ingestor.counters().items():
                 totals[key] = totals.get(key, 0) + value
         return totals

@@ -3,28 +3,33 @@
 The batch pipeline screens whole rounds at snapshot-assembly time
 (:meth:`repro.validate.Validator.screen_store`); a stream cannot wait
 for a round to complete.  :class:`StreamIngestor` screens each event the
-moment it arrives, under the same three policies — ``strict`` raises the
-same :class:`~repro.errors.ValidationError`, ``repair`` applies the same
-canonical fixups, ``quarantine`` drops the record — so a corrupted
-observation never reaches the window, the episode detector, or a
-diagnoser.
+moment it arrives through the same :class:`~repro.validate.Validator`
+steps — a probe path through :meth:`~repro.validate.Validator.screen_path`,
+a control-plane message through
+:meth:`~repro.validate.Validator.screen_message` against one running
+:class:`~repro.validate.FeedScan` per feed kind — so ``strict`` raises
+the same :class:`~repro.errors.ValidationError`, ``repair`` applies the
+same canonical fixups and ``quarantine`` drops the record, and a
+corrupted observation never reaches the window, the episode detector,
+or a diagnoser.
 
-Only probe events carry enough structure for the trace invariants;
-control-plane events are screened against the feed invariants
-*per-message* (a duplicate of an already-ingested message, or a message
-whose feed sequence runs backwards per feed kind, is a violation).
+A feed message that duplicates an already-screened one, or whose feed
+sequence runs backwards per feed kind, is quarantined under ``repair``
+too: a stream cannot re-sort history it has already passed on.
 Heartbeats, dropouts and bare reachability bits have no invariants to
 lie about and always pass.
 
-Accounting lands on the shared :class:`~repro.validate.ValidationReport`
-(and optionally a :class:`~repro.faults.DegradationReport`) so the
-stream CLI renders the same counters as the batch runner.
+Each ingestor counts on its own :class:`~repro.faults.DegradationReport`
+(:attr:`StreamIngestor.degradation`), checkpointed with its shard; the
+engine folds every ingestor's report into the run's once, at end of
+stream.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import StreamError
 from repro.faults import DegradationReport
@@ -34,15 +39,7 @@ from repro.stream.events import (
     StreamEvent,
     WithdrawalEvent,
 )
-from repro.validate import (
-    POLICIES,
-    REPAIR,
-    TRACE_EPOCH,
-    Validator,
-    check_probe_path,
-    repair_probe_path,
-)
-from repro.validate.invariants import FEED_DUP, FEED_ORDER, Violation
+from repro.validate import POLICIES, FeedScan, Validator
 
 __all__ = ["StreamIngestor"]
 
@@ -61,7 +58,6 @@ class StreamIngestor:
         asn_of: Callable[[str], Optional[int]],
         policy: str,
         expected_epochs: Tuple[str, ...],
-        degradation: Optional[DegradationReport] = None,
     ) -> None:
         if policy not in POLICIES:
             raise StreamError(
@@ -70,24 +66,31 @@ class StreamIngestor:
             )
         self.asn_of = asn_of
         self.expected_epochs = tuple(expected_epochs)
-        # Reuse the batch Validator for its policy dispatch + accounting;
-        # the per-event screening below feeds its bookkeeping hooks.
-        self.validator = Validator(policy=policy, degradation=degradation)
+        self.validator = Validator(policy=policy)
         self.events_screened = 0
-        self.events_quarantined = 0
-        self.events_repaired = 0
-        # Per-feed-kind dedup/ordering state, mirroring check_feed but
-        # incrementally: observations seen so far and highest seq.
-        self._feed_seen: Dict[str, set] = {"igp": set(), "bgp": set()}
-        self._feed_highest: Dict[str, Optional[int]] = {"igp": None, "bgp": None}
+        self._feeds = {"igp": FeedScan("igp"), "bgp": FeedScan("bgp")}
 
     @property
     def policy(self) -> str:
         return self.validator.policy
 
     @property
-    def report(self):
-        return self.validator.report
+    def degradation(self) -> DegradationReport:
+        """This ingestor's screening accounting."""
+        return self.validator.degradation
+
+    @property
+    def events_quarantined(self) -> int:
+        report = self.validator.degradation
+        return (
+            report.traces_quarantined
+            + report.stale_rounds_dropped
+            + report.feed_messages_quarantined
+        )
+
+    @property
+    def events_repaired(self) -> int:
+        return self.validator.degradation.traces_repaired
 
     def ingest(self, event: StreamEvent) -> Optional[StreamEvent]:
         """Screen one event.
@@ -98,90 +101,26 @@ class StreamIngestor:
         """
         self.events_screened += 1
         if isinstance(event, ProbeEvent):
-            return self._ingest_probe(event)
+            path = event.path
+            epoch = (
+                path.epoch
+                if path.epoch in self.expected_epochs
+                else self.expected_epochs[-1]
+            )
+            screened = self.validator.screen_path(path, self.asn_of, epoch)
+            if screened is path:
+                return event
+            if screened is None:
+                return None
+            return ProbeEvent(tick=event.tick, seq=event.seq, path=screened)
         if isinstance(event, WithdrawalEvent):
-            return self._ingest_feed(event, "bgp", event.observation)
-        if isinstance(event, IgpLinkDownEvent):
-            return self._ingest_feed(event, "igp", event.observation)
-        return event
-
-    # ---- probes
-
-    def _ingest_probe(self, event: ProbeEvent) -> Optional[ProbeEvent]:
-        path = event.path
-        violations: List[Violation] = []
-        if path.epoch not in self.expected_epochs:
-            violations = check_probe_path(path, self.asn_of, self.expected_epochs[-1])
+            kind = "bgp"
+        elif isinstance(event, IgpLinkDownEvent):
+            kind = "igp"
         else:
-            violations = check_probe_path(path, self.asn_of, path.epoch)
-        if not violations:
             return event
-        self.validator._found(violations)  # raises under strict
-        stale = any(v.invariant == TRACE_EPOCH for v in violations)
-        report = self.validator.report
-        if stale:
-            report.stale_rounds_dropped += 1
-            report.record_quarantine(TRACE_EPOCH)
-            if self.validator.degradation is not None:
-                self.validator.degradation.stale_rounds_dropped += 1
-            self.events_quarantined += 1
-            return None
-        if self.policy == REPAIR:
-            repaired, fixups = repair_probe_path(path, self.asn_of)
-            report.traces_repaired += 1
-            for fixup in fixups:
-                report.record_repair(fixup)
-            if self.validator.degradation is not None:
-                self.validator.degradation.traces_repaired += 1
-            self.events_repaired += 1
-            return ProbeEvent(tick=event.tick, seq=event.seq, path=repaired)
-        report.traces_quarantined += 1
-        report.record_quarantine(violations[0].invariant)
-        if self.validator.degradation is not None:
-            self.validator.degradation.traces_quarantined += 1
-        self.events_quarantined += 1
-        return None
-
-    # ---- control-plane feeds
-
-    def _ingest_feed(self, event, kind: str, observation) -> Optional[StreamEvent]:
-        """Incremental FEED_DUP / FEED_ORDER screening for one message.
-
-        A stream has no "whole feed" to sort, so ``repair`` degrades to
-        ``quarantine`` here: dropping the out-of-order duplicate *is*
-        the canonical incremental fixup (re-sorting history would mean
-        rewriting already-consumed events).
-        """
-        violations: List[Violation] = []
-        record = f"{kind} feed message seq={getattr(observation, 'seq', None)}"
-        if observation in self._feed_seen[kind]:
-            violations.append(
-                Violation(FEED_DUP, record, "duplicate feed message")
-            )
-        seq = getattr(observation, "seq", None)
-        sequenced = seq is not None and seq >= 0
-        highest = self._feed_highest[kind]
-        if not violations and sequenced and highest is not None and seq < highest:
-            violations.append(
-                Violation(
-                    FEED_ORDER,
-                    record,
-                    f"sequence ran backwards ({highest} -> {seq})",
-                )
-            )
-        if not violations:
-            self._feed_seen[kind].add(observation)
-            if sequenced:
-                self._feed_highest[kind] = seq
+        if self.validator.screen_message(self._feeds[kind], event.observation):
             return event
-        self.validator._found(violations)  # raises under strict
-        report = self.validator.report
-        report.feed_messages_quarantined += 1
-        for violation in violations:
-            report.record_quarantine(violation.invariant)
-        if self.validator.degradation is not None:
-            self.validator.degradation.feed_messages_quarantined += 1
-        self.events_quarantined += 1
         return None
 
     def counters(self) -> Dict[str, int]:
@@ -197,30 +136,26 @@ class StreamIngestor:
     def state(self) -> Dict[str, object]:
         """A picklable snapshot of the screening state for checkpoints.
 
-        Captures the counters, the per-feed dedup/ordering state, and a
-        deep copy of the validation report — everything a recovered
+        Captures the screened count, the per-feed scans and a copy of
+        this ingestor's degradation report — everything a recovered
         shard needs so re-screening its replayed tail lands on the same
-        totals as an uninterrupted run.  The shared
-        :class:`~repro.faults.DegradationReport` (if any) is deliberately
-        *not* captured: it aggregates across shards and survives a
-        single shard's crash.
+        totals as an uninterrupted run.  The report holds counters only,
+        so its copy does not grow with the stream.
         """
         return {
             "events_screened": self.events_screened,
-            "events_quarantined": self.events_quarantined,
-            "events_repaired": self.events_repaired,
-            "feed_seen": {kind: set(seen) for kind, seen in self._feed_seen.items()},
-            "feed_highest": dict(self._feed_highest),
-            "report": copy.deepcopy(self.validator.report),
+            "feeds": _copy_feeds(self._feeds),
+            "degradation": copy.deepcopy(self.validator.degradation),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Rebuild the screening state from a :meth:`state` snapshot."""
         self.events_screened = state["events_screened"]
-        self.events_quarantined = state["events_quarantined"]
-        self.events_repaired = state["events_repaired"]
-        self._feed_seen = {
-            kind: set(seen) for kind, seen in state["feed_seen"].items()
-        }
-        self._feed_highest = dict(state["feed_highest"])
-        self.validator.report = copy.deepcopy(state["report"])
+        self._feeds = _copy_feeds(state["feeds"])
+        self.validator.degradation = copy.deepcopy(state["degradation"])
+
+
+def _copy_feeds(feeds: Dict[str, FeedScan]) -> Dict[str, FeedScan]:
+    return {
+        kind: replace(scan, seen=set(scan.seen)) for kind, scan in feeds.items()
+    }

@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pathset import EPOCH_POST, EPOCH_PRE
 from repro.errors import StreamError
-from repro.faults import DegradationReport
 from repro.stream.episodes import PairAlarmTracker
 from repro.stream.events import (
     ProbeEvent,
@@ -306,7 +305,6 @@ class StreamShard:
         window_capacity: int = 0,
         open_after: int = 2,
         close_after: int = 2,
-        degradation: Optional[DegradationReport] = None,
     ) -> None:
         self.index = index
         self._params = dict(
@@ -316,7 +314,6 @@ class StreamShard:
             window_capacity=window_capacity,
             open_after=open_after,
             close_after=close_after,
-            degradation=degradation,
         )
         self.reset()
 
@@ -333,7 +330,6 @@ class StreamShard:
             p["asn_of"],
             p["policy"],
             expected_epochs=(EPOCH_PRE, EPOCH_POST),
-            degradation=p["degradation"],
         )
         self.window = SlidingWindow(
             p["window_width"], capacity=p["window_capacity"]
@@ -360,8 +356,8 @@ class StreamShard:
         """Fold one already-screened broadcast event.
 
         Broadcasts are screened exactly once, by the engine's front-door
-        ingestor — re-screening here would double-count the validation
-        report and fork the feed-dedup state.
+        ingestor — re-screening here would double-count the screening
+        accounting and fork the feed-dedup state.
         """
         self.events_offered += 1
         self._observe(event)

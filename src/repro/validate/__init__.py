@@ -11,8 +11,11 @@ one of three per-run policies:
 * :data:`STRICT` — raise :class:`~repro.errors.ValidationError` naming
   record and invariant;
 * :data:`REPAIR` — apply the canonical deterministic fixups of
-  :mod:`repro.validate.repair`, with per-fixup accounting;
+  :mod:`repro.validate.repair`;
 * :data:`QUARANTINE` — drop offending records and diagnose best-effort.
+
+Every decision is counted on a :class:`~repro.faults.DegradationReport`,
+the one record of what screening found and did.
 
 The corruption modes that exercise this layer live in
 :mod:`repro.faults` (:data:`~repro.faults.CORRUPTION_MODES`), driven by
@@ -39,6 +42,7 @@ from repro.validate.invariants import (
     TRACE_LOOP,
     TRACE_REACH_BIT,
     TRACE_UNRESOLVED,
+    FeedScan,
     Violation,
     check_feed,
     check_lg_path,
@@ -46,7 +50,6 @@ from repro.validate.invariants import (
     check_rounds,
 )
 from repro.validate.repair import repair_feed, repair_probe_path
-from repro.validate.report import ValidationReport
 
 __all__ = [
     "POLICIES",
@@ -65,6 +68,7 @@ __all__ = [
     "FEED_DUP",
     "FEED_ORDER",
     "LG_PATH",
+    "FeedScan",
     "Violation",
     "check_feed",
     "check_lg_path",
@@ -72,5 +76,4 @@ __all__ = [
     "check_rounds",
     "repair_feed",
     "repair_probe_path",
-    "ValidationReport",
 ]

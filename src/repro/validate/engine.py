@@ -15,32 +15,37 @@ dropped — according to one policy for the whole run:
 * ``quarantine`` — drop every offending record and diagnose
   best-effort on what remains, like PR 3's omission handling.
 
-Every decision is counted on the validator's
-:class:`~repro.validate.report.ValidationReport` and, when one is
-attached, eagerly on the run's
-:class:`~repro.faults.DegradationReport` — the totals travel the
-batch path (``RunnerStats.degradation``) and surface in
-``-- runner stats``.
+Every decision is counted once, on the validator's
+:class:`~repro.faults.DegradationReport` — the run's own when one is
+given, else a fresh one — and that report travels the batch path
+(``RunnerStats.degradation``) and surfaces in ``-- runner stats``.
+``traces_quarantined`` and ``stale_rounds_dropped`` are disjoint: a
+stale-epoch record counts only in the latter, so summed counters account
+for each dropped record exactly once.
+
+Probe paths are screened one at a time by :meth:`Validator.screen_path`
+and control-plane feeds through a :class:`~repro.validate.invariants.FeedScan`
+— a whole feed at once by :meth:`Validator.screen_feed`, message by
+message by :meth:`Validator.screen_message` — so the batch collector and
+the stream ingestor share one screening path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.pathset import PathStore, ProbePath
 from repro.errors import MeasurementError, ValidationError
 from repro.faults import DegradationReport
 from repro.validate.invariants import (
-    LG_PATH,
     TRACE_EPOCH,
+    FeedScan,
     Violation,
-    check_feed,
     check_lg_path,
     check_probe_path,
     check_rounds,
 )
 from repro.validate.repair import repair_feed, repair_probe_path
-from repro.validate.report import ValidationReport
 
 __all__ = ["STRICT", "REPAIR", "QUARANTINE", "POLICIES", "Validator"]
 
@@ -64,21 +69,48 @@ class Validator:
                 f"expected one of {', '.join(POLICIES)}"
             )
         self.policy = policy
-        self.degradation = degradation
-        self.report = ValidationReport(policy)
+        self.degradation = (
+            degradation if degradation is not None else DegradationReport()
+        )
 
     # ---- shared bookkeeping
 
     def _found(self, violations: Sequence[Violation]) -> None:
         """Record detections (and raise, under strict)."""
-        self.report.record_violations(violations)
-        if self.degradation is not None:
-            self.degradation.invariant_violations += len(violations)
+        self.degradation.invariant_violations += len(violations)
         if self.policy == STRICT and violations:
             first = violations[0]
             raise ValidationError(first.invariant, first.record, first.detail)
 
     # ---- probe paths / measurement rounds
+
+    def screen_path(
+        self,
+        path: ProbePath,
+        asn_of: Callable[[str], Optional[int]],
+        expected_epoch: str,
+    ) -> Optional[ProbePath]:
+        """Screen one probe path.
+
+        Returns the path itself when it is clean, its canonical repair
+        under ``repair``, or ``None`` when it is quarantined.
+        """
+        violations = check_probe_path(path, asn_of, expected_epoch)
+        if not violations:
+            return path
+        self._found(violations)
+        report = self.degradation
+        if any(v.invariant == TRACE_EPOCH for v in violations):
+            # No sound repair for a record from the wrong epoch:
+            # quarantined under every non-strict policy.
+            report.stale_rounds_dropped += 1
+            report.note("stale measurement round detected")
+            return None
+        if self.policy == REPAIR:
+            report.traces_repaired += 1
+            return repair_probe_path(path, asn_of)[0]
+        report.traces_quarantined += 1
+        return None
 
     def screen_store(
         self,
@@ -94,35 +126,11 @@ class Validator:
         kept = []
         changed = False
         for path in store.paths():
-            violations = check_probe_path(path, asn_of, expected_epoch)
-            if not violations:
-                kept.append(path)
-                continue
-            self._found(violations)
-            changed = True
-            stale = any(v.invariant == TRACE_EPOCH for v in violations)
-            if stale:
-                # No sound repair for a record from the wrong epoch:
-                # quarantined under every non-strict policy.
-                self.report.stale_rounds_dropped += 1
-                self.report.record_quarantine(TRACE_EPOCH)
-                if self.degradation is not None:
-                    self.degradation.stale_rounds_dropped += 1
-                    self.degradation.note("stale measurement round detected")
-                continue
-            if self.policy == REPAIR:
-                repaired, fixups = repair_probe_path(path, asn_of)
-                self.report.traces_repaired += 1
-                for fixup in fixups:
-                    self.report.record_repair(fixup)
-                if self.degradation is not None:
-                    self.degradation.traces_repaired += 1
-                kept.append(repaired)
-            else:
-                self.report.traces_quarantined += 1
-                self.report.record_quarantine(violations[0].invariant)
-                if self.degradation is not None:
-                    self.degradation.traces_quarantined += 1
+            screened = self.screen_path(path, asn_of, expected_epoch)
+            if screened is not path:
+                changed = True
+            if screened is not None:
+                kept.append(screened)
         if not changed:
             return store
         rebuilt = PathStore()
@@ -157,49 +165,47 @@ class Validator:
         discarded = len(
             set(before.pairs()) | set(after.pairs())
         ) - len(new_before)
-        if self.degradation is not None:
-            self.degradation.pairs_discarded += discarded
+        self.degradation.pairs_discarded += discarded
         return new_before, new_after
 
     # ---- control-plane feed streams
 
     def screen_feed(self, messages: Sequence, kind: str) -> Tuple:
-        """Screen one feed stream (IGP link-downs or BGP withdrawals)."""
-        violations = check_feed(messages, kind)
+        """Screen one whole feed stream (IGP link-downs or BGP
+        withdrawals): ``repair`` re-sorts and dedups it, ``quarantine``
+        keeps the messages a fresh :class:`FeedScan` passes."""
+        scan = FeedScan(kind)
+        kept: List = []
+        violations: List[Violation] = []
+        for message in messages:
+            violation = scan.check(message)
+            if violation is None:
+                kept.append(message)
+            else:
+                violations.append(violation)
         if not violations:
             return tuple(messages)
         self._found(violations)
         if self.policy == REPAIR:
-            repaired, fixups = repair_feed(messages)
-            affected = len(violations)
-            self.report.feed_messages_repaired += affected
-            for fixup in fixups:
-                self.report.record_repair(fixup)
-            if self.degradation is not None:
-                self.degradation.feed_messages_repaired += affected
-            return repaired
-        kept = []
-        seen = set()
-        highest = None
-        dropped = 0
-        for message in messages:
-            seq = getattr(message, "seq", -1)
-            sequenced = seq is not None and seq >= 0
-            if message in seen or (
-                sequenced and highest is not None and seq < highest
-            ):
-                dropped += 1
-                continue
-            seen.add(message)
-            if sequenced:
-                highest = seq
-            kept.append(message)
-        self.report.feed_messages_quarantined += dropped
-        for violation in violations:
-            self.report.record_quarantine(violation.invariant)
-        if self.degradation is not None:
-            self.degradation.feed_messages_quarantined += dropped
+            self.degradation.feed_messages_repaired += len(violations)
+            return repair_feed(messages)[0]
+        self.degradation.feed_messages_quarantined += len(violations)
         return tuple(kept)
+
+    def screen_message(self, scan: FeedScan, message) -> bool:
+        """Screen the next message of a live feed against its ``scan``.
+
+        A live feed has no whole to re-sort — the messages before this
+        one are already consumed — so ``repair`` degrades to
+        ``quarantine`` here: dropping the offender *is* the canonical
+        incremental fixup.  Returns whether the message passes.
+        """
+        violation = scan.check(message)
+        if violation is None:
+            return True
+        self._found((violation,))
+        self.degradation.feed_messages_quarantined += 1
+        return False
 
     # ---- Looking Glass answers
 
@@ -223,8 +229,5 @@ class Validator:
         if not violations:
             return path
         self._found(violations)
-        self.report.lg_paths_quarantined += 1
-        self.report.record_quarantine(LG_PATH)
-        if self.degradation is not None:
-            self.degradation.lg_paths_quarantined += 1
+        self.degradation.lg_paths_quarantined += 1
         return None

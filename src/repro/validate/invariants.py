@@ -1,12 +1,13 @@
 """Typed invariants over diagnosis inputs, and their checkers.
 
 Every invariant has a stable string id (``trace-loop``, ``feed-order``,
-...) used three ways: naming the violation in a strict-mode
-:class:`~repro.errors.ValidationError`, keying the per-fixup accounting
-of the :class:`~repro.validate.report.ValidationReport`, and labelling
-rows of the policy matrix in ``docs/robustness.md``.  Checkers are pure
-functions returning :class:`Violation` tuples — policy (raise, repair,
-drop) lives in :mod:`repro.validate.engine`, not here.
+...) used two ways: naming the violation in a strict-mode
+:class:`~repro.errors.ValidationError`, and labelling rows of the
+policy matrix in ``docs/robustness.md``.  Checkers are pure functions
+returning :class:`Violation` tuples — policy (raise, repair, drop)
+lives in :mod:`repro.validate.engine`, not here.  The one stateful
+checker, :class:`FeedScan`, is the feed invariants' incremental form:
+a batch feed runs a fresh scan, a stream keeps one per feed kind.
 
 The invariants are deliberately *local*: each one is decidable from the
 record plus the IP-to-AS mapping, so a checker never needs simulator
@@ -15,8 +16,8 @@ ground truth — exactly what a real NOC-side validator would have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Set, Tuple
 
 from repro.core.pathset import PathStore, ProbePath
 
@@ -36,6 +37,7 @@ __all__ = [
     "describe_path",
     "check_probe_path",
     "check_rounds",
+    "FeedScan",
     "check_feed",
     "check_lg_path",
 ]
@@ -189,41 +191,57 @@ def check_rounds(
     return tuple(violations)
 
 
-def check_feed(
-    messages: Sequence, kind: str = "feed"
-) -> Tuple[Violation, ...]:
-    """Feed-stream invariants: no duplicates, sequence numbers monotonic.
+@dataclass
+class FeedScan:
+    """Running FEED_DUP / FEED_ORDER screen of one feed stream.
 
-    ``messages`` are frozen observation records carrying an optional
+    Messages are frozen observation records carrying an optional
     ``seq`` field (``-1`` = unsequenced; ordering is only checked across
     sequenced messages).  Duplicates are full-record duplicates — a real
     collector deduplicates on message identity, and the corruption mode
-    replays the identical record.
+    replays the identical record.  ``seen`` holds every distinct message
+    so far and ``highest`` the high-water mark of the sequence numbers
+    of the messages that passed.
     """
-    violations = []
-    seen = set()
-    highest = None
-    for position, message in enumerate(messages):
-        record = f"{kind} message #{position}"
-        if message in seen:
-            violations.append(
-                Violation(FEED_DUP, record, f"duplicate of {message}")
+
+    kind: str = "feed"
+    seen: Set = field(default_factory=set)
+    highest: Optional[int] = None
+    position: int = 0
+
+    def check(self, message) -> Optional[Violation]:
+        """Screen the next message; ``None`` when it passes."""
+        position = self.position
+        self.position += 1
+        if message in self.seen:
+            return Violation(
+                FEED_DUP,
+                f"{self.kind} message #{position}",
+                f"duplicate of {message}",
             )
-            continue
-        seen.add(message)
+        self.seen.add(message)
         seq = getattr(message, "seq", -1)
         if seq is not None and seq >= 0:
-            if highest is not None and seq < highest:
-                violations.append(
-                    Violation(
-                        FEED_ORDER,
-                        record,
-                        f"seq {seq} arrived after seq {highest}",
-                    )
+            if self.highest is not None and seq < self.highest:
+                return Violation(
+                    FEED_ORDER,
+                    f"{self.kind} message #{position}",
+                    f"seq {seq} arrived after seq {self.highest}",
                 )
-            else:
-                highest = seq
-    return tuple(violations)
+            self.highest = seq
+        return None
+
+
+def check_feed(
+    messages: Sequence, kind: str = "feed"
+) -> Tuple[Violation, ...]:
+    """Feed-stream invariants: no duplicates, sequence numbers monotonic."""
+    scan = FeedScan(kind)
+    return tuple(
+        violation
+        for violation in map(scan.check, messages)
+        if violation is not None
+    )
 
 
 def check_lg_path(

@@ -4,8 +4,8 @@ Repairs are pure functions of the record and the IP-to-AS mapping — no
 randomness, no ambient state — so a repaired sweep is reproducible and
 ``repair`` is idempotent (``repair(repair(x)) == repair(x)``, property-
 tested in ``tests/validate/``).  Each repair returns the fixed record
-plus the tuple of invariant ids it actually applied, feeding the
-per-fixup accounting of :class:`~repro.validate.report.ValidationReport`.
+plus the tuple of invariant ids it actually applied (empty once the
+record is canonical, which is how idempotence is tested).
 
 The probe-path pipeline runs in a fixed order chosen so later stages
 cannot re-introduce earlier violations:

@@ -57,3 +57,17 @@ class TestStreamCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "window width" in err
+
+    def test_mismatched_journal_exits_2_with_one_line_stderr(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "stream.journal"
+        args = FAST_ARGS + ["--journal", str(journal)]
+        assert repro_main(args + ["--window", "4"]) == 0
+        capsys.readouterr()
+        code = repro_main(args + ["--window", "3", "--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "fingerprint mismatch" in err
+        assert len(err.strip().splitlines()) == 1

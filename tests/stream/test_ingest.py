@@ -86,7 +86,7 @@ class TestPolicies:
         screen = ingestor(QUARANTINE)
         assert screen.ingest(probe_event([SRC, FORGED, DST])) is None
         assert screen.events_quarantined == 1
-        assert screen.report.traces_quarantined == 1
+        assert screen.degradation.traces_quarantined == 1
 
     def test_repair_fixes_forged_probe(self):
         screen = ingestor(REPAIR)
@@ -94,7 +94,7 @@ class TestPolicies:
         assert admitted is not None
         assert FORGED not in admitted.path.hops
         assert screen.events_repaired == 1
-        assert screen.report.traces_repaired == 1
+        assert screen.degradation.traces_repaired == 1
 
     def test_strict_raises_on_forged_probe(self):
         screen = ingestor(STRICT)
@@ -106,7 +106,7 @@ class TestPolicies:
         screen = ingestor(REPAIR)
         assert screen.ingest(probe_event([SRC, MID, DST], epoch="ancient")) is None
         assert screen.events_quarantined == 1
-        assert screen.report.stale_rounds_dropped == 1
+        assert screen.degradation.stale_rounds_dropped == 1
 
 
 class TestFeedScreening:
@@ -122,7 +122,7 @@ class TestFeedScreening:
         screen = ingestor(QUARANTINE)
         assert screen.ingest(withdrawal_event(seq=0, feed_seq=0)) is not None
         assert screen.ingest(withdrawal_event(seq=1, feed_seq=0)) is None
-        assert screen.report.feed_messages_quarantined == 1
+        assert screen.degradation.feed_messages_quarantined == 1
 
     def test_backwards_sequence_is_quarantined(self):
         screen = ingestor(QUARANTINE)
